@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import flip as flip_mod
 from .chargroup import check_mask, check_rank, display_order, evaluate, mask_from_indices
-from .diagrep import DiagonalRep, fixed_dim, pattern
+from .diagrep import DiagonalRep, fixed_dim
 
 HALF = "½"
 
@@ -504,10 +504,6 @@ def sunada_table_text(table: dict[tuple[int, int], int], n: int,
             continue
         items.append(f"c[{s},{t}] = {m}")
     return "\n".join(items)
-
-
-def pattern_of(group: BieberbachGroup) -> tuple[int, ...]:
-    return pattern(group.rep)
 
 
 def fixed_dims(group: BieberbachGroup) -> dict[int, int]:

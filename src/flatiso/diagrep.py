@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from . import chargroup
 from .chargroup import check_rank, display_order, evaluate
-from .errors import CapabilityError
 
 KAHLER_NONE = "none"
 KAHLER = "kahler"
@@ -148,43 +148,44 @@ def _display_perm(k: int) -> np.ndarray:
     return np.array(order[1:] + (0,), dtype=np.intp)
 
 
-def _orbit_matrix(rep: DiagonalRep) -> np.ndarray:
-    q = np.array(rep.q, dtype=np.int64)
-    return q[chargroup.automorphism_table(rep.k)]
+# A q-vector with entries in 0..n is keyed by its entries as big-endian
+# unsigned bytes of the narrowest width that holds n, viewed as one np.void
+# item.  Comparing keys bytewise then compares the vectors lexicographically,
+# at any entry width.  The orbit scan keys q relabelled by every automorphism
+# and sorts the distinct keys, one block of maps at a time.
+
+def _key_dtype(n: int) -> np.dtype:
+    return np.dtype(np.min_scalar_type(n)).newbyteorder(">")
 
 
-# ranks up to this use the cached full automorphism table; beyond it the
-# table is streamed in chunks (k = 5 is ~9.9M maps, too big to materialize)
-_TABLE_MAX_RANK = 4
+def key_rows(rows, n: int) -> np.ndarray:
+    """One np.void key per row of a 2-D array with entries in 0..n."""
+    rows = np.ascontiguousarray(rows, dtype=_key_dtype(n))
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
-def _orbit_extreme(rep: DiagonalRep, column_perm, take_max: bool) -> np.ndarray:
-    k = rep.k
-    if k > chargroup.MAX_EXHAUSTIVE_AUT_RANK:
-        raise CapabilityError("exhaustive orbit scans are limited to k <= 5")
-    q = np.array(rep.q, dtype=np.int64)
-    if k <= _TABLE_MAX_RANK:
-        chunks = (chargroup.automorphism_table(k),)
-    else:
-        chunks = chargroup.automorphism_chunks(k)
-    best = None
-    for perms in chunks:
-        mat = q[perms]
+def unkey(key: bytes, n: int) -> tuple[int, ...]:
+    """The vector a key_rows key was made from."""
+    return tuple(int(v) for v in np.frombuffer(key, dtype=_key_dtype(n)))
+
+
+def orbit_scan(k: int, q, n: int, column_perm=None) -> Iterator[np.ndarray]:
+    """Sorted distinct keys of q[img] over the automorphisms img of Z_2^k
+    (columns then reordered by column_perm), one array per block of
+    chargroup.automorphism_chunks.  Blocks may share keys."""
+    q = np.asarray(q, dtype=_key_dtype(n))
+    for perms in chargroup.automorphism_chunks(k):
         if column_perm is not None:
-            mat = mat[:, column_perm]
-        rows = np.unique(mat, axis=0)
-        cand = tuple(rows[-1] if take_max else rows[0])
-        if best is None or (cand > best if take_max else cand < best):
-            best = cand
-    return np.array(best)
+            perms = perms[:, column_perm]
+        yield np.unique(key_rows(q[perms], n))
 
 
 def canonical_form(rep: DiagonalRep) -> DiagonalRep:
     """Lexicographically minimal multiplicity vector (numeric character order)
     over the automorphism orbit.  Exhaustive scan, hence capped at k <= 5.
     """
-    best = _orbit_extreme(rep, None, take_max=False)
-    return DiagonalRep(rep.k, tuple(int(v) for v in best))
+    least = min(keys[0].tobytes() for keys in orbit_scan(rep.k, rep.q, rep.n))
+    return DiagonalRep(rep.k, unkey(least, rep.n))
 
 
 def display_representative(rep: DiagonalRep) -> DiagonalRep:
@@ -195,10 +196,11 @@ def display_representative(rep: DiagonalRep) -> DiagonalRep:
     the numeric-order minimum used as the dedup key.
     """
     perm = _display_perm(rep.k)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    best_disp = _orbit_extreme(rep, perm, take_max=True)
-    return DiagonalRep(rep.k, tuple(int(v) for v in best_disp[inv]))
+    greatest = max(keys[-1].tobytes() for keys in orbit_scan(rep.k, rep.q, rep.n, perm))
+    q = [0] * len(perm)
+    for m, v in zip(perm, unkey(greatest, rep.n)):
+        q[m] = v
+    return DiagonalRep(rep.k, tuple(q))
 
 
 def _cheap_key(rep: DiagonalRep):

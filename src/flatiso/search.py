@@ -8,13 +8,16 @@ the same family exactly when they are almost-conjugate.
 
 The costly part is the dedup.  Every multiplicity vector in an automorphism
 orbit appears somewhere in the enumeration (the filters are orbit-invariant),
-so it suffices to keep one "seen" set of vectors: the first time an orbit is
-met, the whole orbit matrix q[perms] is materialized with numpy, its unique
-rows are marked seen and its lexicographically least row (numeric character
-order) is kept as the canonical class representative.  Everything downstream
-(patterns, member annotations, sorting) runs on the class representatives
-only.  Members are printed via the display-order lexicographic maximum of
-the orbit, which is the representative the reference tables use.
+so it suffices to keep one "seen" set of vectors, held as byte keys: each
+vector is written as big-endian unsigned bytes, so byte order is
+lexicographic order.  The first time an orbit is met, diagrep.orbit_scan
+sorts the distinct keys of all its relabellings; they are marked seen, and
+the least one, the lexicographically least vector in numeric character
+order, is kept as the canonical class representative.  Everything
+downstream (patterns, member annotations, sorting) runs on the class
+representatives only.  Members are printed via the display-order
+lexicographic maximum of the orbit, which is the representative the
+reference tables use.
 
 The enumeration is an embarrassingly parallel map over the value of the
 first free multiplicity; the merge is a set union of canonical forms, so the
@@ -33,13 +36,13 @@ from math import comb
 import numpy as np
 
 from . import diagrep, flip as flip_mod
-from .chargroup import automorphism_chunks, automorphism_table, evaluate, f2_rank
+from .chargroup import evaluate, f2_rank
 from .diagrep import DiagonalRep
 from .cohomology import betti_numbers, primitive_counts
 from .errors import CapabilityError
 
 COMPOSITION_BUDGET = 100_000_000
-MAX_SEARCH_RANK = 5
+MAX_SEARCH_RANK = 4
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,6 @@ class Family:
 
 
 @lru_cache(maxsize=None)
-def _eval_matrix(k: int) -> np.ndarray:
-    """EVAL[f, J] = 1 when chi_J(f) = +1, else 0."""
-    size = 1 << k
-    return np.array([[1 if evaluate(j, f) == 1 else 0 for j in range(size)]
-                     for f in range(size)], dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
 def _support_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per support-bitmask over the nonzero characters (bit m-1 <=> q_m > 0):
     whether the support spans rank k, and whether some nonzero element is
@@ -158,31 +153,6 @@ def _compositions(total: int, parts: int, chunk: int = 131072):
         yield (np.diff(ext, axis=1) - 1).astype(np.int16)
 
 
-def _pack_matrix(arr: np.ndarray, n: int):
-    """Injective uint64 keys for q-rows when they fit, else None."""
-    cols = arr.shape[1]
-    bits = 4 if n <= 15 else 8
-    if bits * cols > 64:
-        return None
-    w = np.left_shift(np.uint64(1), (bits * np.arange(cols, dtype=np.uint64)))
-    return (arr.astype(np.uint64) * w).sum(axis=1, dtype=np.uint64)
-
-
-def _keys(arr: np.ndarray, n: int) -> list:
-    packed = _pack_matrix(arr, n)
-    if packed is not None:
-        return packed.tolist()
-    return [row.tobytes() for row in np.ascontiguousarray(arr, dtype=np.int16)]
-
-
-def _orbit_unique(row: np.ndarray, k: int) -> np.ndarray:
-    """Sorted unique rows of the automorphism orbit of one q-vector."""
-    if k <= 4:
-        return np.unique(row[automorphism_table(k)], axis=0)
-    parts = [np.unique(row[perms], axis=0) for perms in automorphism_chunks(k)]
-    return np.unique(np.vstack(parts), axis=0)
-
-
 def _enumerate_classes(cfg_tuple, n: int, first_values) -> list[tuple[int, ...]]:
     """Canonical class representatives among vectors whose first free
     multiplicity lies in first_values.  Top-level function so that worker
@@ -213,12 +183,13 @@ def _enumerate_classes(cfg_tuple, n: int, first_values) -> list[tuple[int, ...]]
             rows = full[keep]
             if not len(rows):
                 continue
-            for i, key in enumerate(_keys(rows, n)):
+            for i, key in enumerate(diagrep.key_rows(rows, n).tolist()):
                 if key in seen:
                     continue
-                orbit = _orbit_unique(rows[i], k)
-                seen.update(_keys(orbit, n))
-                classes.append(tuple(int(x) for x in orbit[0]))
+                orbit = [keys.tolist() for keys in diagrep.orbit_scan(k, rows[i], n)]
+                for keys in orbit:
+                    seen.update(keys)
+                classes.append(diagrep.unkey(min(keys[0] for keys in orbit), n))
     return classes
 
 
@@ -248,22 +219,17 @@ def _run_single_dimension(cfg: SearchConfig, n: int) -> list[Family]:
                         classes.append(row)
 
     # group canonical representatives by pattern
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    eval_t = _eval_matrix(cfg.k).T
+    groups: dict[tuple[int, ...], list[DiagonalRep]] = {}
     for row in classes:
-        dims = np.array(row, dtype=np.int64) @ eval_t
-        patt = [0] * (n + 1)
-        for d in dims:
-            patt[int(d)] += 1
-        groups.setdefault(tuple(patt), []).append(row)
+        canon = DiagonalRep(cfg.k, row)
+        groups.setdefault(diagrep.pattern(canon), []).append(canon)
 
     families = []
-    for patt, rows in groups.items():
-        if len(rows) < cfg.min_family_size:
+    for patt, reps in groups.items():
+        if len(reps) < cfg.min_family_size:
             continue
         members = []
-        for row in rows:
-            canon = DiagonalRep(cfg.k, row)
+        for canon in reps:
             disp = diagrep.display_representative(canon)
             members.append(FamilyMember(
                 display_q=disp.to_display(),

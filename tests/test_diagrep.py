@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import diagonal_reps, random_rep
 from flatiso import chargroup, diagrep
@@ -166,7 +166,32 @@ def test_streamed_orbit_scan_matches_table_path(rng, monkeypatch):
     reps = [random_rep(rng, 3, rng.randrange(3, 9), q0_zero=False) for _ in range(10)]
     want = [(canonical_form(r), display_representative(r)) for r in reps]
     orig = chargroup.automorphism_chunks
-    monkeypatch.setattr(diagrep, "_TABLE_MAX_RANK", 2)
     monkeypatch.setattr(chargroup, "automorphism_chunks", lambda k: orig(k, chunk=40))
     got = [(canonical_form(r), display_representative(r)) for r in reps]
     assert got == want
+
+
+@st.composite
+def wide_reps(draw, max_k=3):
+    """Reps whose entries reach past 255 and 65535, so the orbit keys use
+    1-, 2- and 4-byte entries."""
+    k = draw(st.integers(1, max_k))
+    entry = st.one_of(st.integers(0, 3), st.integers(250, 260), st.integers(65530, 65540))
+    q = draw(st.lists(entry, min_size=1 << k, max_size=1 << k).filter(any))
+    return DiagonalRep(k, tuple(q))
+
+
+@given(wide_reps())
+@example(DiagonalRep(4, (0, 3, 1, 0, 2, 0, 0, 1, 1, 0, 0, 2, 0, 1, 0, 0)))
+@example(DiagonalRep(4, (1, 300, 0, 2, 70000, 0, 0, 1, 0, 0, 5, 0, 0, 256, 0, 0)))
+@example(DiagonalRep(4, (0,) * 15 + (65536,)))
+@example(DiagonalRep(2, (0, 2 ** 32, 1, 0)))
+@settings(max_examples=80)
+def test_orbit_extremes_match_brute_force(rep):
+    # the least q and the display-greatest q over the orbit, one automorphism
+    # at a time, against the keyed block scan
+    orbit = [tuple(rep.q[img[m]] for m in range(1 << rep.k))
+             for img in chargroup.automorphisms(rep.k)]
+    order = chargroup.display_order(rep.k)[1:] + (0,)
+    assert canonical_form(rep).q == min(orbit)
+    assert display_representative(rep).q == max(orbit, key=lambda q: [q[m] for m in order])

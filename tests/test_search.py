@@ -179,6 +179,8 @@ def test_config_validation():
         SearchConfig(k=3, n=9, workers=0)
     with pytest.raises(CapabilityError):
         SearchConfig(k=6, n=50)
+    with pytest.raises(CapabilityError):
+        SearchConfig(k=5, n=10)
 
 
 def test_composition_budget():
