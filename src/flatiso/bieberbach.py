@@ -27,8 +27,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import flip as flip_mod
-from .chargroup import check_mask, check_rank, display_order, evaluate, mask_from_indices
-from .diagrep import DiagonalRep, fixed_dim
+from .chargroup import (check_mask, check_rank, display_order, evaluate, indices_from_mask,
+                        mask_from_indices)
+from .diagrep import DiagonalRep, coordinate_characters, fixed_dim
 
 HALF = "½"
 
@@ -87,7 +88,6 @@ class BieberbachGroup:
 
     @classmethod
     def from_rep(cls, rep: DiagonalRep, gen_translations, order=None) -> "BieberbachGroup":
-        from .cohomology import coordinate_characters
         chars = coordinate_characters(rep, order)
         return cls(rep.k, chars, tuple(tuple(b) for b in gen_translations))
 
@@ -335,8 +335,6 @@ def find_translations(rep: DiagonalRep, wide_search: bool = False, order=None):
     half entries per block (the shape of all the fixed constructions), which
     wide_search lifts.
     """
-    from .cohomology import coordinate_characters
-
     k = rep.k
     size = 1 << k
     blocks = [m for m in (order if order is not None else display_order(k)) if rep.q[m] > 0]
@@ -478,8 +476,6 @@ def read_bgf(stream) -> BieberbachGroup:
 def column_notation(group: BieberbachGroup) -> str:
     """Per-coordinate rows of generator signs with half-entry subscripts,
     grouped by character block, for eyeball comparison with printed tables."""
-    from .chargroup import indices_from_mask
-
     header = ["block", "coord"] + [f"B{i + 1}" for i in range(group.k)]
     rows = [header]
     for j, c in enumerate(group.coord_chars):

@@ -99,17 +99,20 @@ class Circuit:
             assert self.degree == len(self.members)
 
 
-def _is_minimal_dependent(masks: tuple[int, ...]) -> bool:
-    # masks distinct, nonzero, XOR == 0; reject any vanishing proper sub-XOR
-    p = len(masks)
-    for r in range(1, p):
-        for sub in itertools.combinations(masks, r):
-            acc = 0
-            for m in sub:
-                acc ^= m
-            if acc == 0:
-                return False
-    return True
+def circuits_within(masks: tuple[int, ...], p: int) -> Iterator[tuple[int, ...]]:
+    """Member tuples of the degree-p circuits (p >= 3) whose members all lie
+    in ``masks``, an increasing tuple of nonzero masks, in lexicographic order.
+
+    A circuit is its p-1 smallest members plus their product; it is minimal
+    exactly when those p-1 members are linearly independent.
+    """
+    allowed = set(masks)
+    for head in itertools.combinations(masks, p - 1):
+        last = product(head)
+        if last <= head[-1] or last not in allowed:  # distinct, increasing, inside masks
+            continue
+        if f2_rank(head) == p - 1:
+            yield head + (last,)
 
 
 @lru_cache(maxsize=None)
@@ -124,20 +127,10 @@ def circuits(k: int, p: int) -> tuple[Circuit, ...]:
         raise ValueError(f"circuit degree must be >= 2, got {p}")
     if p > k + 1:
         return ()
-    nonzero = range(1, 1 << k)
+    nonzero = tuple(range(1, 1 << k))
     if p == 2:
         return tuple(Circuit((m,), 2, doubled=True) for m in nonzero)
-    out = []
-    for head in itertools.combinations(nonzero, p - 1):
-        last = 0
-        for m in head:
-            last ^= m
-        if last <= head[-1]:  # forces distinct members in increasing order
-            continue
-        full = head + (last,)
-        if _is_minimal_dependent(full):
-            out.append(Circuit(full, p))
-    return tuple(out)
+    return tuple(Circuit(full, p) for full in circuits_within(nonzero, p))
 
 
 def _invertible_matrices(k: int) -> Iterator[tuple[int, ...]]:

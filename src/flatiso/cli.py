@@ -24,6 +24,7 @@ import os
 import sys
 
 from . import bieberbach, cohomology, diagrep, search
+from .chargroup import display_order, indices_from_mask, mask_from_indices
 from .diagrep import DiagonalRep
 from .errors import CapabilityError
 from .flip import DEFAULT_SPEC, FlipSpec, apply_flip
@@ -48,7 +49,6 @@ def _parse_element(token: str, k: int) -> int:
         raise ValueError(f"malformed group element {token!r}: expected digit string like 13")
     if k > 9:
         raise ValueError("digit-string elements are only unambiguous for k <= 9")
-    from .chargroup import mask_from_indices
     indices = [int(ch) for ch in token]
     if len(set(indices)) != len(indices):
         raise ValueError(f"repeated index in group element {token!r}")
@@ -73,7 +73,6 @@ def _cmd_analyze(args) -> str:
     rep = _parse_rep(args)
     lines = [f"rep: [{diagrep.format_rep(rep)}]  (k={rep.k}, n={rep.n}, q0={rep.q[0]})"]
     dims = []
-    from .chargroup import display_order, indices_from_mask
     for mask in display_order(rep.k):
         label = "".join(str(i) for i in indices_from_mask(mask)) or "0"
         dims.append(f"n_B{label}={diagrep.fixed_dim(rep, mask)}")

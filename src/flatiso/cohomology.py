@@ -30,38 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
-from . import chargroup
-from .chargroup import display_order, product
-from .diagrep import DiagonalRep
+from .chargroup import circuits_within, product
+from .diagrep import DiagonalRep, coordinate_characters
 from .errors import CapabilityError
 
 ENUMERATION_BUDGET = 10_000_000
-
-
-def coordinate_characters(rep: DiagonalRep, order=None) -> tuple[int, ...]:
-    """Character psi_j of each coordinate 1..n, laid out in blocks.
-
-    ``order`` is the block order as a sequence of masks covering the support;
-    defaults to display order.
-    """
-    if order is None:
-        order = display_order(rep.k)
-    else:
-        seen = set()
-        for m in order:
-            chargroup.check_mask(m, rep.k)
-            if m in seen:
-                raise ValueError("duplicate character in block order")
-            seen.add(m)
-        missing = [m for m in rep.support() if m not in seen]
-        if missing:
-            raise ValueError(f"block order misses supported characters {missing}")
-    out = []
-    for m in order:
-        out.extend([m] * rep.q[m])
-    return tuple(out)
 
 
 def betti_numbers(rep: DiagonalRep) -> tuple[int, ...]:
@@ -93,38 +68,13 @@ def betti_numbers(rep: DiagonalRep) -> tuple[int, ...]:
     return tuple(dp[0])
 
 
-def _support_circuit_sum(support: tuple[int, ...], q, p: int) -> int:
-    """Sum of multiplicity products over degree-p circuits inside the support.
-
-    Only characters with q > 0 can contribute, so circuits are enumerated
-    within the support instead of among all 2^k - 1 characters; that keeps
-    sparse high-rank representations cheap.
-    """
-    from itertools import combinations
-    from .chargroup import _is_minimal_dependent
-
-    total = 0
-    for head in combinations(support, p - 1):
-        last = 0
-        for m in head:
-            last ^= m
-        if last <= head[-1] or q[last] == 0:
-            continue
-        full = head + (last,)
-        if _is_minimal_dependent(full):
-            prod = 1
-            for m in full:
-                prod *= q[m]
-            total += prod
-    return total
-
-
 def primitive_counts(rep: DiagonalRep) -> tuple[int, ...]:
     """(P_0, .., P_n): primitive-monomial counts per degree.
 
     P_0 = 1, P_1 = q_0, P_2 = sum binom(q_I, 2) over nonzero I, and for
     3 <= p <= k+1 the sum over degree-p circuits of the products of the
-    member multiplicities; zero beyond k+1.
+    member multiplicities; zero beyond k+1.  Only supported characters
+    contribute, so circuits are enumerated within the support.
     """
     n = rep.n
     support = tuple(m for m in range(1, 1 << rep.k) if rep.q[m] > 0)
@@ -135,23 +85,8 @@ def primitive_counts(rep: DiagonalRep) -> tuple[int, ...]:
     if n >= 2:
         out[2] = sum(comb(rep.q[m], 2) for m in support)
     for p in range(3, min(rep.k + 1, n) + 1):
-        out[p] = _support_circuit_sum(support, rep.q, p)
+        out[p] = sum(prod(rep.q[m] for m in c) for c in circuits_within(support, p))
     return tuple(out)
-
-
-def primitive_count_p4_k3(rep: DiagonalRep) -> int:
-    """Closed form for P_4 at k = 3: the seven degree-4 circuit terms."""
-    if rep.k != 3:
-        raise ValueError("closed form only defined for k = 3")
-    q1, q2, q3 = rep.q[0b001], rep.q[0b010], rep.q[0b100]
-    q12, q13, q23, q123 = rep.q[0b011], rep.q[0b101], rep.q[0b110], rep.q[0b111]
-    return (q1 * q2 * q3 * q123
-            + q1 * q2 * q13 * q23
-            + q1 * q3 * q12 * q23
-            + q1 * q12 * q13 * q123
-            + q2 * q3 * q12 * q13
-            + q2 * q12 * q23 * q123
-            + q3 * q13 * q23 * q123)
 
 
 def minimal_generator_count(rep: DiagonalRep) -> int:
@@ -360,16 +295,6 @@ def lefschetz_operator_multiplicities(rep, order=None) -> dict[int, int]:
         if prim:
             out[n // 2 - p + 1] = prim
     return out
-
-
-@dataclass(frozen=True)
-class BettiTable:
-    betti: tuple[int, ...]
-    prim_counts: tuple[int, ...]
-
-
-def betti_table(rep: DiagonalRep) -> BettiTable:
-    return BettiTable(betti_numbers(rep), primitive_counts(rep))
 
 
 def format_monomial(mono, n: int) -> str:

@@ -92,6 +92,30 @@ def format_rep(rep: DiagonalRep, with_q0: bool = False) -> str:
     return ",".join(str(v) for v in vals)
 
 
+def coordinate_characters(rep: DiagonalRep, order=None) -> tuple[int, ...]:
+    """Character psi_j of each coordinate 1..n, laid out in blocks.
+
+    ``order`` is the block order as a sequence of masks covering the support;
+    defaults to display order.
+    """
+    if order is None:
+        order = display_order(rep.k)
+    else:
+        seen = set()
+        for m in order:
+            chargroup.check_mask(m, rep.k)
+            if m in seen:
+                raise ValueError("duplicate character in block order")
+            seen.add(m)
+        missing = [m for m in rep.support() if m not in seen]
+        if missing:
+            raise ValueError(f"block order misses supported characters {missing}")
+    out = []
+    for m in order:
+        out.extend([m] * rep.q[m])
+    return tuple(out)
+
+
 def fixed_dim(rep: DiagonalRep, f: int) -> int:
     """Dimension of the fixed space of rho(f): sum of q_J over chi_J(f) = +1."""
     chargroup.check_mask(f, rep.k)

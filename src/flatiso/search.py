@@ -1,10 +1,16 @@
 """Exhaustive enumeration of almost-conjugate families of diagonal representations.
 
-For fixed rank k and dimension n, run over all multiplicity vectors
-(compositions of n over the allowed characters), filter (faithful, no -Id,
-no trivial-character multiplicity by default), deduplicate up to character
-relabeling, and group the survivors by pattern: two representations land in
-the same family exactly when they are almost-conjugate.
+For fixed rank k and dimension n, run over all multiplicity vectors with
+q_0 = 0 (compositions of n over the nonzero characters), keep the faithful
+ones without -Id, deduplicate up to character relabeling, and group the
+survivors by pattern: two representations land in the same family exactly
+when they are almost-conjugate.
+
+The filter is checked per row on the support bitmask s (bit m-1 set iff
+q_m > 0) against the negative set neg_f of each nonzero element f (bit m-1
+set iff chi_m(f) = -1): the row is faithful iff s meets every neg_f, and f
+acts as -Id iff s lies inside neg_f.  Together: every nonzero element has
+0 < n_f < n.
 
 The costly part is the dedup.  Every multiplicity vector in an automorphism
 orbit appears somewhere in the enumeration (the filters are orbit-invariant),
@@ -19,24 +25,25 @@ representatives only.  Members are printed via the display-order
 lexicographic maximum of the orbit, which is the representative the
 reference tables use.
 
-The enumeration is an embarrassingly parallel map over the value of the
-first free multiplicity; the merge is a set union of canonical forms, so the
-output is byte-identical for any worker count.
+The enumeration is an embarrassingly parallel map over the value of q_1;
+the merge is a set union of canonical forms, so the output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from . import diagrep, flip as flip_mod
-from .chargroup import evaluate, f2_rank
+from .chargroup import evaluate
 from .diagrep import DiagonalRep
 from .cohomology import betti_numbers, primitive_counts
 from .errors import CapabilityError
@@ -50,12 +57,8 @@ class SearchConfig:
     k: int
     n: int
     n_max: int | None = None
-    require_faithful: bool = True
-    forbid_minus_id: bool = True
-    require_q0_zero: bool = True
     min_family_size: int = 2
     workers: int = 1
-    composition_budget: int = COMPOSITION_BUDGET
 
     def __post_init__(self):
         if self.k < 1:
@@ -77,9 +80,9 @@ class SearchConfig:
 
     def filters_dict(self) -> dict:
         return {
-            "require_faithful": self.require_faithful,
-            "forbid_minus_id": self.forbid_minus_id,
-            "require_q0_zero": self.require_q0_zero,
+            "require_faithful": True,
+            "forbid_minus_id": True,
+            "require_q0_zero": True,
             "min_family_size": self.min_family_size,
         }
 
@@ -104,30 +107,24 @@ class Family:
         return len(self.members)
 
 
-# -- vectorized filter tables --------------------------------------------------
+# -- composition scan -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _support_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per support-bitmask over the nonzero characters (bit m-1 <=> q_m > 0):
-    whether the support spans rank k, and whether some nonzero element is
-    -1 on every supported character (the -Id test at q_0 = 0)."""
+def admissible_rows(k: int, rows: np.ndarray) -> np.ndarray:
+    """Which rows (multiplicity vectors with q_0 = 0, shape (B, 2^k)) are
+    faithful and free of -Id: per nonzero element f, the support must meet
+    both the negative set and the positive set of f."""
     size = 1 << k
-    nsupports = 1 << (size - 1)
-    faithful = np.zeros(nsupports, dtype=bool)
-    minus_id = np.zeros(nsupports, dtype=bool)
-    neg_sets = []
+    nonzero = (1 << (size - 1)) - 1
+    # one bit per nonzero character: 15 bits at k = MAX_SEARCH_RANK
+    bits = np.left_shift(np.uint16(1), np.arange(size - 1, dtype=np.uint16))
+    support = ((rows[:, 1:] > 0) * bits).sum(axis=1, dtype=np.uint16)
+    keep = np.ones(len(rows), dtype=bool)
     for f in range(1, size):
-        neg = 0
-        for m in range(1, size):
-            if evaluate(m, f) == -1:
-                neg |= 1 << (m - 1)
-        neg_sets.append(neg)
-    for s in range(nsupports):
-        masks = [m + 1 for m in range(size - 1) if s >> m & 1]
-        faithful[s] = f2_rank(masks) == k
-        minus_id[s] = any(s & ~neg == 0 for neg in neg_sets)
-    return faithful, minus_id
+        neg = sum(1 << (m - 1) for m in range(1, size) if evaluate(m, f) == -1)
+        keep &= (support & np.uint16(neg)) != 0
+        keep &= (support & np.uint16(nonzero & ~neg)) != 0
+    return keep
 
 
 def _compositions(total: int, parts: int, chunk: int = 131072):
@@ -153,34 +150,22 @@ def _compositions(total: int, parts: int, chunk: int = 131072):
         yield (np.diff(ext, axis=1) - 1).astype(np.int16)
 
 
-def _enumerate_classes(cfg_tuple, n: int, first_values) -> list[tuple[int, ...]]:
-    """Canonical class representatives among vectors whose first free
-    multiplicity lies in first_values.  Top-level function so that worker
-    processes can receive it."""
-    (k, require_faithful, forbid_minus_id, require_q0_zero) = cfg_tuple
+def _enumerate_classes(k: int, n: int, first_values) -> list[tuple[int, ...]]:
+    """Canonical class representatives among vectors whose q_1 lies in
+    first_values.  Top-level function so that worker processes can receive
+    it."""
     size = 1 << k
-    free_masks = list(range(1, size)) if require_q0_zero else list(range(size))
-    faithful_tab, minusid_tab = _support_tables(k)
-    support_w = np.left_shift(np.int64(1), np.arange(size - 1, dtype=np.int64))
-
     seen: set = set()
     classes: list[tuple[int, ...]] = []
     for v in first_values:
         rest = n - v
         if rest < 0:
             continue
-        for batch in _compositions(rest, len(free_masks) - 1):
+        for batch in _compositions(rest, size - 2):
             full = np.zeros((batch.shape[0], size), dtype=np.int16)
-            full[:, free_masks[0]] = v
-            if len(free_masks) > 1:
-                full[:, free_masks[1:]] = batch
-            support = ((full[:, 1:] > 0).astype(np.int64) * support_w).sum(axis=1)
-            keep = np.ones(len(full), dtype=bool)
-            if require_faithful:
-                keep &= faithful_tab[support]
-            if forbid_minus_id:
-                keep &= ~(minusid_tab[support] & (full[:, 0] == 0))
-            rows = full[keep]
+            full[:, 1] = v
+            full[:, 2:] = batch
+            rows = full[admissible_rows(k, full)]
             if not len(rows):
                 continue
             for i, key in enumerate(diagrep.key_rows(rows, n).tolist()):
@@ -194,21 +179,19 @@ def _enumerate_classes(cfg_tuple, n: int, first_values) -> list[tuple[int, ...]]
 
 
 def _run_single_dimension(cfg: SearchConfig, n: int) -> list[Family]:
-    size = 1 << cfg.k
-    free = (size - 1) if cfg.require_q0_zero else size
+    free = (1 << cfg.k) - 1
     count = comb(n + free - 1, free - 1)
-    if count > cfg.composition_budget:
+    if count > COMPOSITION_BUDGET:
         raise CapabilityError(
             f"enumeration would scan {count} compositions "
-            f"(> budget {cfg.composition_budget})")
+            f"(> budget {COMPOSITION_BUDGET})")
 
-    cfg_tuple = (cfg.k, cfg.require_faithful, cfg.forbid_minus_id, cfg.require_q0_zero)
     if cfg.workers == 1:
-        classes = _enumerate_classes(cfg_tuple, n, range(n + 1))
+        classes = _enumerate_classes(cfg.k, n, range(n + 1))
     else:
         slices = [range(w, n + 1, cfg.workers) for w in range(cfg.workers)]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = pool.map(_enumerate_classes, [cfg_tuple] * len(slices),
+            parts = pool.map(_enumerate_classes, [cfg.k] * len(slices),
                              [n] * len(slices), slices)
             merged: set[tuple[int, ...]] = set()
             classes = []
@@ -330,14 +313,12 @@ def families_from_json(text: str) -> list[Family]:
 
 
 def families_to_csv(families) -> str:
-    import csv as csv_mod
-    import io
     buf = io.StringIO()
     if not families:
         return ""
     k = families[0].k
     plabels = [f"P{p}" for p in range(2, k + 2)]
-    writer = csv_mod.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "n", "family", "q", *plabels, "betti"])
     for idx, fam in enumerate(families, start=1):
         fid = f"F[{fam.k},{fam.n}]_{idx}"

@@ -5,7 +5,7 @@ walking all 2^n coordinate subsets, the Kaehler pairing test by exhaustive
 matching, Sunada tables straight from column data with index-set arithmetic.
 """
 
-from flatiso.cohomology import coordinate_characters
+from flatiso.diagrep import coordinate_characters
 
 
 def brute_betti(rep):
@@ -21,6 +21,21 @@ def brute_betti(rep):
         if chars[s] == 0:
             counts[s.bit_count()] += 1
     return tuple(counts)
+
+
+def primitive_count_p4_k3(rep):
+    """Closed form for P_4 at k = 3: the seven degree-4 circuit terms."""
+    if rep.k != 3:
+        raise ValueError("closed form only defined for k = 3")
+    q1, q2, q3 = rep.q[0b001], rep.q[0b010], rep.q[0b100]
+    q12, q13, q23, q123 = rep.q[0b011], rep.q[0b101], rep.q[0b110], rep.q[0b111]
+    return (q1 * q2 * q3 * q123
+            + q1 * q2 * q13 * q23
+            + q1 * q3 * q12 * q23
+            + q1 * q12 * q13 * q123
+            + q2 * q3 * q12 * q13
+            + q2 * q12 * q23 * q123
+            + q3 * q13 * q23 * q123)
 
 
 def brute_block_matching(rep):

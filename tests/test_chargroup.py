@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from flatiso import chargroup
 from flatiso.chargroup import (automorphism_count, automorphism_table, automorphisms,
-                               circuits, evaluate, f2_rank, mask_from_indices, product)
+                               circuits, circuits_within, evaluate, f2_rank,
+                               mask_from_indices, product)
 from flatiso.errors import CapabilityError
 
 
@@ -78,6 +80,16 @@ def test_circuit_minimality():
                 for r in range(1, p):
                     for sub in itertools.combinations(circ.members, r):
                         assert product(sub) != 0
+
+
+def test_circuits_within_is_circuits_inside_the_masks():
+    rng = random.Random(7)
+    for k in (3, 4, 5):
+        for _ in range(10):
+            masks = tuple(sorted(rng.sample(range(1, 1 << k), rng.randrange(2, 1 << k))))
+            for p in range(3, k + 2):
+                inside = [c.members for c in circuits(k, p) if set(c.members) <= set(masks)]
+                assert list(circuits_within(masks, p)) == inside
 
 
 def test_doubled_degree_two_circuits():

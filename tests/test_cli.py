@@ -1,5 +1,8 @@
+import hashlib
 import io
 import json
+
+import pytest
 
 from flatiso import bieberbach, search
 from flatiso.cli import run
@@ -26,6 +29,25 @@ def test_enumerate_json_round_trip():
     assert fams == search.enumerate_families(cfg)
     payload = json.loads(out)
     assert payload["filters"]["require_q0_zero"] is True
+
+
+# sha256 of stdout: these outputs must stay byte for byte as they are
+ENUMERATE_DIGESTS = [
+    (("--k", "3", "--n", "9", "--n-max", "11", "--format", "json"),
+     "076f54018c640b728d2ad1d3de396b50a8e3a6ccd7c7ee023c3fc634494864b3"),
+    (("--k", "3", "--n", "9", "--n-max", "11", "--format", "csv"),
+     "49077d5082623e910f4907d4ad166db185159de2f1fddcc34089238e0c0861a3"),
+    (("--k", "4", "--n", "8", "--format", "json"),
+     "deb9300e0293a79f4500d63d0cd994a7a2d8140409edbf0ce5773a9d6b29c1ff"),
+]
+
+
+@pytest.mark.parametrize("args, digest", ENUMERATE_DIGESTS,
+                         ids=["k3-json", "k3-csv", "k4-json"])
+def test_enumerate_output_bytes(args, digest):
+    code, out, err = invoke("enumerate", *args)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_csv():

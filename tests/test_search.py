@@ -1,9 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import goldens
-from flatiso import diagrep
+from flatiso import diagrep, search
 from flatiso.diagrep import DiagonalRep
 from flatiso.errors import CapabilityError
 from flatiso.flip import verify_almost_conjugate
@@ -78,21 +79,36 @@ def test_patterns_differ_across_families():
     assert len(patterns) == len(set(patterns))
 
 
-def class_count_oracle(k, n):
-    """Independent tally: canonicalize every filtered composition directly."""
+def q0_zero_reps(k, n):
+    """Every representation of dimension n with q_0 = 0, by stars and bars."""
     size = 1 << k
-    seen = set()
     for combo in itertools.combinations(range(n + size - 2), size - 2):
         parts = []
         prev = -1
         for c in combo + (n + size - 2,):
             parts.append(c - prev - 1)
             prev = c
-        rep = DiagonalRep(k, (0,) + tuple(parts))
+        yield DiagonalRep(k, (0,) + tuple(parts))
+
+
+def class_count_oracle(k, n):
+    """Independent tally: canonicalize every filtered composition directly."""
+    seen = set()
+    for rep in q0_zero_reps(k, n):
         if not diagrep.is_faithful(rep) or diagrep.contains_minus_identity(rep):
             continue
         seen.add(diagrep.canonical_form(rep).q)
     return len(seen)
+
+
+@pytest.mark.parametrize("k, n_max", [(3, 9), (4, 6)])
+def test_admissible_rows_match_diagrep_filters(k, n_max):
+    for n in range(1, n_max + 1):
+        reps = list(q0_zero_reps(k, n))
+        got = search.admissible_rows(k, np.array([rep.q for rep in reps], dtype=np.int16))
+        expected = [diagrep.is_faithful(rep) and not diagrep.contains_minus_identity(rep)
+                    for rep in reps]
+        assert got.tolist() == expected
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
@@ -183,9 +199,10 @@ def test_config_validation():
         SearchConfig(k=5, n=10)
 
 
-def test_composition_budget():
+def test_composition_budget(monkeypatch):
+    monkeypatch.setattr(search, "COMPOSITION_BUDGET", 10)
     with pytest.raises(CapabilityError):
-        enumerate_families(SearchConfig(k=3, n=9, composition_budget=10))
+        enumerate_families(SearchConfig(k=3, n=9))
 
 
 def test_families_sorted_within_dimension():
