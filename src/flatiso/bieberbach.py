@@ -104,17 +104,6 @@ def derive_element_translations(group: BieberbachGroup) -> dict[int, tuple[int, 
     return out
 
 
-def element_translation(group: BieberbachGroup, mask: int) -> tuple[int, ...]:
-    check_mask(mask, group.k)
-    return derive_element_translations(group)[mask]
-
-
-def half_fixed_count(group: BieberbachGroup, mask: int) -> int:
-    """Number of coordinates fixed by B_I whose b_I entry is 1/2."""
-    b = element_translation(group, mask)
-    return sum(1 for c, v in zip(group.coord_chars, b) if v and evaluate(c, mask) == 1)
-
-
 class TorsionCheck(NamedTuple):
     ok: bool
     witness: int | None  # a violating element mask when not torsion-free

@@ -190,7 +190,7 @@ def automorphism_count(k: int) -> int:
     return n
 
 
-# largest number of automorphism maps held in memory as one block
+# largest number of automorphism maps automorphism_table materializes
 AUT_BLOCK = 65536
 
 
@@ -199,30 +199,13 @@ def automorphism_table(k: int) -> np.ndarray:
     """All automorphisms of Z_2^k as one cached (|GL(k,2)|, 2^k) uint8 array.
 
     Materialized only while |GL(k,2)| <= AUT_BLOCK (k <= 4; 20160 x 16 at
-    k = 4); automorphism_chunks streams the larger groups instead.
+    k = 4).
     """
     check_rank(k)
     if automorphism_count(k) > AUT_BLOCK:
         raise CapabilityError(f"automorphism_table is materialized only for "
                               f"at most {AUT_BLOCK} maps")
     return np.array(list(automorphisms(k)), dtype=np.uint8)
-
-
-def automorphism_chunks(k: int, chunk: int = AUT_BLOCK) -> Iterator[np.ndarray]:
-    """The automorphism table in row blocks of at most ``chunk`` maps: the
-    cached automorphism_table as the only block when |GL(k,2)| <= chunk,
-    else streamed from automorphisms."""
-    if automorphism_count(k) <= chunk:
-        yield automorphism_table(k)
-        return
-    buf = []
-    for img in automorphisms(k):
-        buf.append(img)
-        if len(buf) >= chunk:
-            yield np.array(buf, dtype=np.uint8)
-            buf = []
-    if buf:
-        yield np.array(buf, dtype=np.uint8)
 
 
 def f2_rank(masks: Iterable[int]) -> int:

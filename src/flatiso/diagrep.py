@@ -9,19 +9,19 @@ first, then pairs, and so on, with q_0 left out unless asked for.
 Two representations are equivalent iff the corresponding diagonal subgroups
 of O(n) are conjugate, which for diagonal groups amounts to relabeling the
 characters by a group automorphism.  Equivalence testing and canonical forms
-therefore reduce to orbit computations under GL(k, 2) acting on masks.
+therefore reduce to a search over GL(k, 2) acting on masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
 from . import chargroup
 from .chargroup import check_rank, display_order, evaluate
+from .errors import CapabilityError
 
 KAHLER_NONE = "none"
 KAHLER = "kahler"
@@ -165,18 +165,10 @@ def kahler_class(rep: DiagonalRep) -> str:
 
 # -- equivalence up to character relabeling ---------------------------------
 
-@lru_cache(maxsize=None)
-def _display_perm(k: int) -> np.ndarray:
-    # column permutation sending internal numeric order to display order, q_0 last
-    order = display_order(k)
-    return np.array(order[1:] + (0,), dtype=np.intp)
-
-
 # A q-vector with entries in 0..n is keyed by its entries as big-endian
 # unsigned bytes of the narrowest width that holds n, viewed as one np.void
 # item.  Comparing keys bytewise then compares the vectors lexicographically,
-# at any entry width.  The orbit scan keys q relabelled by every automorphism
-# and sorts the distinct keys, one block of maps at a time.
+# at any entry width.
 
 def _key_dtype(n: int) -> np.dtype:
     return np.dtype(np.min_scalar_type(n)).newbyteorder(">")
@@ -193,23 +185,155 @@ def unkey(key: bytes, n: int) -> tuple[int, ...]:
     return tuple(int(v) for v in np.frombuffer(key, dtype=_key_dtype(n)))
 
 
-def orbit_scan(k: int, q, n: int, column_perm=None) -> Iterator[np.ndarray]:
-    """Sorted distinct keys of q[img] over the automorphisms img of Z_2^k
-    (columns then reordered by column_perm), one array per block of
-    chargroup.automorphism_chunks.  Blocks may share keys."""
+def orbit_scan(k: int, q, n: int) -> np.ndarray:
+    """Sorted distinct keys of q[img] over the automorphisms img of Z_2^k:
+    the whole orbit, from the cached chargroup.automorphism_table (k <= 4)."""
     q = np.asarray(q, dtype=_key_dtype(n))
-    for perms in chargroup.automorphism_chunks(k):
-        if column_perm is not None:
-            perms = perms[:, column_perm]
-        yield np.unique(key_rows(q[perms], n))
+    return np.unique(key_rows(q[chargroup.automorphism_table(k)], n))
+
+
+# canonical_form and display_representative pick the relabelling of q that
+# comes first in a reading order, without visiting the orbit.  A relabelling
+# is an ordered basis c_0..c_{k-1} (c_j = img(2^j)) and maps q to q[img].
+# The search fixes the columns one at a time and prunes on what is known
+# (Linton, "Finding the smallest image of a set", ISSAC 2004).
+
+@lru_cache(maxsize=None)
+def _reading(k: int, display: bool) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The masks a search key reads, in order, and per level j the offsets m
+    of the masks 2^j | m that decide between the columns of level j.
+
+    Numeric order reads every nonzero mask; the masks below 2^(j+1) are a
+    prefix of it, so all of them decide.  Display order opens with the k
+    singletons.  The columns kept are those with the greatest value (a greedy
+    basis, so every kept path carries the same singleton values), and the key
+    starts after the singletons with the pairs {1, j+1}, known at level j.
+    """
+    if display:
+        return (tuple(m for m in display_order(k) if m.bit_count() > 1),
+                ((0,),) + ((0, 1),) * (k - 1))
+    return tuple(range(1, 1 << k)), tuple(tuple(range(1 << j)) for j in range(k))
+
+
+def _orbit_labels(size: int, gens) -> list[int]:
+    """A label per point, equal for points in one orbit of the group that
+    the permutations gens generate."""
+    root = list(range(size))
+    for g in gens:
+        for x in range(size):
+            a, b = x, g[x]
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            root[a] = b
+    for x in range(size):
+        while root[root[x]] != root[x]:
+            root[x] = root[root[x]]
+    return root
+
+
+def _least_image(k: int, w, keys, offsets) -> list[int]:
+    """The automorphism img (img[m] for every mask m) whose key
+    [w[img[m]] for m in keys] is lexicographically least.
+
+    Level j picks the column c_j outside the span of c_0..c_{j-1}; the masks
+    below 2^(j+1) are then known.  Of the columns, only those with the least
+    values at the masks 2^j | m, m in offsets[j], are kept.  A node is cut
+    when its known key values, the unknown positions filled with the values
+    left over in ascending order, cannot beat the best key found.  Two leaves
+    with equal keys give an automorphism of w fixing the columns they share:
+    the later subtree at the level they part is abandoned, and a column in
+    one orbit with an explored one, under the automorphisms found that fix
+    the columns above it, is skipped.
+    """
+    size = 1 << k
+    best = None             # least key and its img
+    autos: list[list[int]] = []
+
+    def node(j: int, span: list[int]):
+        # returns a level to unwind to, or None
+        nonlocal best
+        if best is not None:
+            top, least = len(span), best[0]
+            known = [w[span[m]] if m < top else None for m in keys]
+            i = 0   # the full mask is a key and still unknown, so this stops
+            while known[i] == least[i]:
+                i += 1
+            if known[i] is not None:
+                if known[i] > least[i]:
+                    return None
+            else:
+                # past the equal head: known values kept, the others least first
+                tail = sorted(least[i:])
+                for v in known[i:]:
+                    if v is not None:
+                        tail.remove(v)
+                fill = iter(tail)
+                if [next(fill) if v is None else v for v in known[i:]] >= least[i:]:
+                    return None
+        inside = set(span)
+        cands = [c for c in range(1, size) if c not in inside]
+        for m in offsets[j]:
+            if len(cands) == 1:
+                break
+            s, kept, low = span[m], [], None
+            for c in cands:
+                v = w[c ^ s]
+                if low is None or v < low:
+                    kept, low = [c], v
+                elif v == low:
+                    kept.append(c)
+            cands = kept
+        explored: list[int] = []
+        used, labels = 0, None
+        for c in cands:
+            if explored and len(autos) > used:
+                used, cols = len(autos), [span[1 << i] for i in range(j)]
+                labels = _orbit_labels(size, [g for g in autos
+                                              if all(g[x] == x for x in cols)])
+            if labels is not None and labels[c] in {labels[e] for e in explored}:
+                continue
+            explored.append(c)
+            img = span + [c ^ s for s in span]
+            if j + 1 < k:
+                back = node(j + 1, img)
+                if back is not None and back < j:
+                    return back
+                continue
+            key = [w[img[m]] for m in keys]
+            if best is None or key < best[0]:
+                best = (key, img)
+            elif key == best[0]:
+                g = [0] * size
+                for m, x in enumerate(best[1]):
+                    g[x] = img[m]
+                autos.append(g)
+                d = 0
+                while img[1 << d] == best[1][1 << d]:
+                    d += 1
+                if d < j:
+                    return d
+        return None
+
+    node(0, [0])
+    return best[1]
+
+
+def _check_search_rank(k: int) -> None:
+    if k > chargroup.MAX_EXHAUSTIVE_AUT_RANK:
+        raise CapabilityError(f"canonical forms and equivalence tests are limited to "
+                              f"k <= {chargroup.MAX_EXHAUSTIVE_AUT_RANK}")
 
 
 def canonical_form(rep: DiagonalRep) -> DiagonalRep:
     """Lexicographically minimal multiplicity vector (numeric character order)
-    over the automorphism orbit.  Exhaustive scan, hence capped at k <= 5.
+    over the automorphism orbit.  Found by a pruned search over ordered bases,
+    limited to k <= chargroup.MAX_EXHAUSTIVE_AUT_RANK.
     """
-    least = min(keys[0].tobytes() for keys in orbit_scan(rep.k, rep.q, rep.n))
-    return DiagonalRep(rep.k, unkey(least, rep.n))
+    _check_search_rank(rep.k)
+    img = _least_image(rep.k, rep.q, *_reading(rep.k, False))
+    return DiagonalRep(rep.k, tuple(rep.q[m] for m in img))
 
 
 def display_representative(rep: DiagonalRep) -> DiagonalRep:
@@ -217,14 +341,12 @@ def display_representative(rep: DiagonalRep) -> DiagonalRep:
 
     This is the representative the reference tables print (largest
     multiplicities pushed onto the earliest display slots), as opposed to
-    the numeric-order minimum used as the dedup key.
+    the numeric-order minimum used as the dedup key.  Same search and limit
+    as canonical_form.
     """
-    perm = _display_perm(rep.k)
-    greatest = max(keys[-1].tobytes() for keys in orbit_scan(rep.k, rep.q, rep.n, perm))
-    q = [0] * len(perm)
-    for m, v in zip(perm, unkey(greatest, rep.n)):
-        q[m] = v
-    return DiagonalRep(rep.k, tuple(q))
+    _check_search_rank(rep.k)
+    img = _least_image(rep.k, [-v for v in rep.q], *_reading(rep.k, True))
+    return DiagonalRep(rep.k, tuple(rep.q[m] for m in img))
 
 
 def _cheap_key(rep: DiagonalRep):
@@ -236,6 +358,7 @@ def are_equivalent(a: DiagonalRep, b: DiagonalRep) -> bool:
     """True iff some automorphism relabeling carries the q-vector of a to b's."""
     if a.k != b.k or a.n != b.n:
         raise ValueError("representations must share rank and dimension")
+    _check_search_rank(a.k)
     if a.q == b.q:
         return True
     if _cheap_key(a) != _cheap_key(b):

@@ -21,9 +21,9 @@ sorts the distinct keys of all its relabellings; they are marked seen, and
 the least one, the lexicographically least vector in numeric character
 order, is kept as the canonical class representative.  Everything
 downstream (patterns, member annotations, sorting) runs on the class
-representatives only.  Members are printed via the display-order
-lexicographic maximum of the orbit, which is the representative the
-reference tables use.
+representatives only.  Members are printed via
+diagrep.display_representative, the display-order lexicographic maximum of
+the orbit, which is the representative the reference tables use.
 
 The enumeration is an embarrassingly parallel map over the value of q_1;
 the merge is a set union of canonical forms, so the output is
@@ -171,10 +171,9 @@ def _enumerate_classes(k: int, n: int, first_values) -> list[tuple[int, ...]]:
             for i, key in enumerate(diagrep.key_rows(rows, n).tolist()):
                 if key in seen:
                     continue
-                orbit = [keys.tolist() for keys in diagrep.orbit_scan(k, rows[i], n)]
-                for keys in orbit:
-                    seen.update(keys)
-                classes.append(diagrep.unkey(min(keys[0] for keys in orbit), n))
+                orbit = diagrep.orbit_scan(k, rows[i], n).tolist()
+                seen.update(orbit)
+                classes.append(diagrep.unkey(orbit[0], n))
     return classes
 
 

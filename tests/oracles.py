@@ -5,6 +5,8 @@ walking all 2^n coordinate subsets, the Kaehler pairing test by exhaustive
 matching, Sunada tables straight from column data with index-set arithmetic.
 """
 
+from flatiso.bieberbach import derive_element_translations
+from flatiso.chargroup import check_mask, evaluate
 from flatiso.diagrep import coordinate_characters
 
 
@@ -36,6 +38,18 @@ def primitive_count_p4_k3(rep):
             + q2 * q3 * q12 * q13
             + q2 * q12 * q23 * q123
             + q3 * q13 * q23 * q123)
+
+
+def element_translation(group, mask):
+    """Numerators of b_I for one element mask I."""
+    check_mask(mask, group.k)
+    return derive_element_translations(group)[mask]
+
+
+def half_fixed_count(group, mask):
+    """Number of coordinates fixed by B_I whose b_I entry is 1/2."""
+    b = element_translation(group, mask)
+    return sum(1 for c, v in zip(group.coord_chars, b) if v and evaluate(c, mask) == 1)
 
 
 def brute_block_matching(rep):

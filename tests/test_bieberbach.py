@@ -4,11 +4,11 @@ import pytest
 
 import goldens
 from conftest import random_rep
+from oracles import element_translation, half_fixed_count
 from flatiso import bieberbach
 from flatiso.bieberbach import (BieberbachGroup, column_notation, construct_dim7_pair,
                                 construct_family24, construct_main_pair,
-                                derive_element_translations, element_translation,
-                                find_translations, half_fixed_count,
+                                derive_element_translations, find_translations,
                                 is_sunada_isospectral, is_torsion_free, read_bgf,
                                 sunada_table, sunada_table_text)
 from flatiso.cohomology import kahler_obstruction, primitive_counts

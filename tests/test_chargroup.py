@@ -124,13 +124,6 @@ def test_automorphism_table_matches_iterator():
     assert [tuple(r) for r in tab] == list(automorphisms(2))
 
 
-def test_automorphism_chunks_cover_the_table():
-    import numpy as np
-    chunks = list(chargroup.automorphism_chunks(3, chunk=40))
-    assert len(chunks) == 5 and chunks[-1].shape == (8, 8)
-    assert np.array_equal(np.vstack(chunks), automorphism_table(3))
-
-
 def test_f2_rank():
     assert f2_rank([]) == 0
     assert f2_rank([1, 2, 4]) == 3

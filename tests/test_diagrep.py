@@ -1,4 +1,6 @@
+import functools
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +11,7 @@ from flatiso.diagrep import (DiagonalRep, are_equivalent, canonical_form,
                              contains_minus_identity, display_representative,
                              fixed_dim, format_rep, is_faithful, is_orientable,
                              kahler_class, parse_rep, pattern)
+from flatiso.errors import CapabilityError
 
 
 def rep3(*vals):
@@ -161,24 +164,22 @@ def test_faithful_reps_have_positive_fixed_dims_only_at_identity(rng):
         assert full == [0]
 
 
-def test_streamed_orbit_scan_matches_table_path(rng, monkeypatch):
-    # the chunked path used for k = 5 gives the same extremes as the cached table
-    reps = [random_rep(rng, 3, rng.randrange(3, 9), q0_zero=False) for _ in range(10)]
-    want = [(canonical_form(r), display_representative(r)) for r in reps]
-    orig = chargroup.automorphism_chunks
-    monkeypatch.setattr(chargroup, "automorphism_chunks", lambda k: orig(k, chunk=40))
-    got = [(canonical_form(r), display_representative(r)) for r in reps]
-    assert got == want
-
-
 @st.composite
-def wide_reps(draw, max_k=3):
-    """Reps whose entries reach past 255 and 65535, so the orbit keys use
-    1-, 2- and 4-byte entries."""
+def wide_reps(draw, max_k=4):
+    """Reps whose entries reach past 255 and 65535 as well as small ones."""
     k = draw(st.integers(1, max_k))
     entry = st.one_of(st.integers(0, 3), st.integers(250, 260), st.integers(65530, 65540))
     q = draw(st.lists(entry, min_size=1 << k, max_size=1 << k).filter(any))
     return DiagonalRep(k, tuple(q))
+
+
+@functools.cache
+def orbit_readers(k):
+    """Per automorphism img, readers of q[img] in numeric and in display order."""
+    order = chargroup.display_order(k)[1:] + (0,)
+    maps = list(chargroup.automorphisms(k))
+    return ([itemgetter(*img) for img in maps],
+            [itemgetter(*(img[m] for m in order)) for img in maps], order)
 
 
 @given(wide_reps())
@@ -189,9 +190,50 @@ def wide_reps(draw, max_k=3):
 @settings(max_examples=80)
 def test_orbit_extremes_match_brute_force(rep):
     # the least q and the display-greatest q over the orbit, one automorphism
-    # at a time, against the keyed block scan
-    orbit = [tuple(rep.q[img[m]] for m in range(1 << rep.k))
-             for img in chargroup.automorphisms(rep.k)]
-    order = chargroup.display_order(rep.k)[1:] + (0,)
-    assert canonical_form(rep).q == min(orbit)
-    assert display_representative(rep).q == max(orbit, key=lambda q: [q[m] for m in order])
+    # at a time, against the pruned search
+    numeric, display, order = orbit_readers(rep.k)
+    assert canonical_form(rep).q == min(read(rep.q) for read in numeric)
+    greatest = display_representative(rep).q
+    assert tuple(greatest[m] for m in order) == max(read(rep.q) for read in display)
+
+
+@st.composite
+def relabelled_k5(draw):
+    """A k = 5 rep and its image under a random invertible matrix, built
+    column by column from random columns outside the span so far."""
+    q = draw(st.lists(st.integers(0, 3), min_size=32, max_size=32).filter(any))
+    cols, span = (), {0}
+    while len(cols) < 5:
+        c = draw(st.integers(1, 31).filter(lambda c, span=frozenset(span): c not in span))
+        cols += (c,)
+        span |= {s ^ c for s in span}
+    img = chargroup._mask_images(cols, 5)
+    return DiagonalRep(5, tuple(q)), DiagonalRep(5, tuple(q[img[m]] for m in range(32)))
+
+
+@given(relabelled_k5())
+@example((DiagonalRep(5, (0, 1, 1) + (0,) * 29), DiagonalRep(5, (0,) * 30 + (1, 1))))
+@settings(max_examples=40)
+def test_k5_extremes_are_relabelling_invariant(pair):
+    rep, other = pair
+    for extreme in (canonical_form, display_representative):
+        form = extreme(rep)
+        assert extreme(other) == form
+        assert extreme(form) == form
+        assert pattern(form) == pattern(rep)
+        assert sorted(form.q) == sorted(rep.q) and form.q[0] == rep.q[0]
+    assert are_equivalent(rep, other)
+
+
+def test_all_ones_k5_is_its_own_extreme():
+    for q0 in (0, 1):
+        rep = DiagonalRep(5, (q0,) + (1,) * 31)
+        assert canonical_form(rep) == rep
+        assert display_representative(rep) == rep
+
+
+def test_relabelling_search_rank_cap():
+    rep = DiagonalRep(6, (0,) + (1,) * 63)
+    for call in (canonical_form, display_representative, lambda r: are_equivalent(r, r)):
+        with pytest.raises(CapabilityError, match="k <= 5"):
+            call(rep)
