@@ -187,6 +187,13 @@ def orbit_readers(k):
 @example(DiagonalRep(4, (1, 300, 0, 2, 70000, 0, 0, 1, 0, 0, 5, 0, 0, 256, 0, 0)))
 @example(DiagonalRep(4, (0,) * 15 + (65536,)))
 @example(DiagonalRep(2, (0, 2 ** 32, 1, 0)))
+# searches that tie leaves, abandon subtrees, skip columns in an orbit and cut
+# on the bound
+@example(DiagonalRep(4, (1,) * 16))
+@example(DiagonalRep(4, (0, 1, 1, 1) + (0,) * 12))
+@example(DiagonalRep(4, (0,) + (1,) * 7 + (0,) * 8))
+@example(DiagonalRep(4, tuple(m.bit_count() for m in range(16))))
+@example(DiagonalRep(4, (0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1)))
 @settings(max_examples=80)
 def test_orbit_extremes_match_brute_force(rep):
     # the least q and the display-greatest q over the orbit, one automorphism
