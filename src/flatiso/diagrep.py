@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import chargroup
 from .chargroup import check_rank, display_order, evaluate
 from .errors import CapabilityError
@@ -164,33 +162,6 @@ def kahler_class(rep: DiagonalRep) -> str:
 
 
 # -- equivalence up to character relabeling ---------------------------------
-
-# A q-vector with entries in 0..n is keyed by its entries as big-endian
-# unsigned bytes of the narrowest width that holds n, viewed as one np.void
-# item.  Comparing keys bytewise then compares the vectors lexicographically,
-# at any entry width.
-
-def _key_dtype(n: int) -> np.dtype:
-    return np.dtype(np.min_scalar_type(n)).newbyteorder(">")
-
-
-def key_rows(rows, n: int) -> np.ndarray:
-    """One np.void key per row of a 2-D array with entries in 0..n."""
-    rows = np.ascontiguousarray(rows, dtype=_key_dtype(n))
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-
-
-def unkey(key: bytes, n: int) -> tuple[int, ...]:
-    """The vector a key_rows key was made from."""
-    return tuple(int(v) for v in np.frombuffer(key, dtype=_key_dtype(n)))
-
-
-def orbit_scan(k: int, q, n: int) -> np.ndarray:
-    """Sorted distinct keys of q[img] over the automorphisms img of Z_2^k:
-    the whole orbit, from the cached chargroup.automorphism_table (k <= 4)."""
-    q = np.asarray(q, dtype=_key_dtype(n))
-    return np.unique(key_rows(q[chargroup.automorphism_table(k)], n))
-
 
 # canonical_form and display_representative pick the relabelling of q that
 # comes first in a reading order, without visiting the orbit.  A relabelling
@@ -340,18 +311,36 @@ def display_representative(rep: DiagonalRep) -> DiagonalRep:
     """Orbit member whose display-order vector is lexicographically maximal.
 
     This is the representative the reference tables print (largest
-    multiplicities pushed onto the earliest display slots), as opposed to
-    the numeric-order minimum used as the dedup key.  Same search and limit
-    as canonical_form.
+    multiplicities pushed onto the earliest display slots) and the class
+    representative enumeration generates.  Same search and limit as
+    canonical_form.
     """
     _check_search_rank(rep.k)
-    img = _least_image(rep.k, [-v for v in rep.q], *_reading(rep.k, True))
-    return DiagonalRep(rep.k, tuple(rep.q[m] for m in img))
+    return DiagonalRep(rep.k, _display_image(rep.k, rep.q))
+
+
+def _display_image(k: int, q: tuple[int, ...]) -> tuple[int, ...]:
+    img = _least_image(k, [-v for v in q], *_reading(k, True))
+    return tuple(q[m] for m in img)
+
+
+def is_display_representative(k: int, q: tuple[int, ...]) -> bool:
+    """Whether the multiplicity vector q (length 2^k) is its own
+    display_representative.  Same limit as display_representative.
+
+    A necessary check runs first: the display representative's singletons
+    are greedy, so q[2^j] is the largest value at the masks outside the span
+    of the singletons before it, which are the masks >= 2^j.
+    """
+    _check_search_rank(k)
+    if any(q[1 << j] < max(q[1 << j:]) for j in range(k)):
+        return False
+    return _display_image(k, q) == q
 
 
 def _cheap_key(rep: DiagonalRep):
-    # orbit invariants: multiplicity multiset and pattern
-    return (tuple(sorted(rep.q)), rep.q[0], pattern(rep))
+    # orbit invariants: multiplicity multiset and q_0
+    return (tuple(sorted(rep.q)), rep.q[0])
 
 
 def are_equivalent(a: DiagonalRep, b: DiagonalRep) -> bool:

@@ -1,49 +1,53 @@
 """Exhaustive enumeration of almost-conjugate families of diagonal representations.
 
-For fixed rank k and dimension n, run over all multiplicity vectors with
-q_0 = 0 (compositions of n over the nonzero characters), keep the faithful
-ones without -Id, deduplicate up to character relabeling, and group the
-survivors by pattern: two representations land in the same family exactly
-when they are almost-conjugate.
+For fixed rank k and dimension n, run over the classes of multiplicity
+vectors with q_0 = 0 up to character relabeling, keep the faithful ones
+without -Id, and group them by pattern: two representations land in the
+same family exactly when they are almost-conjugate.
 
-The filter is checked per row on the support bitmask s (bit m-1 set iff
-q_m > 0) against the negative set neg_f of each nonzero element f (bit m-1
-set iff chi_m(f) = -1): the row is faithful iff s meets every neg_f, and f
-acts as -Id iff s lies inside neg_f.  Together: every nonzero element has
-0 < n_f < n.
-
-The costly part is the dedup.  Every multiplicity vector in an automorphism
-orbit appears somewhere in the enumeration (the filters are orbit-invariant),
-so it suffices to keep one "seen" set of vectors, held as byte keys: each
-vector is written as big-endian unsigned bytes, so byte order is
-lexicographic order.  The first time an orbit is met, diagrep.orbit_scan
-sorts the distinct keys of all its relabellings; they are marked seen, and
-the least one, the lexicographically least vector in numeric character
-order, is kept as the canonical class representative.  Everything
-downstream (patterns, member annotations, sorting) runs on the class
-representatives only.  Members are printed via
+The classes are generated in order (R. C. Read, "Every one a winner", Ann.
+Discrete Math. 2, 1978), one level per dimension, each class held as its
 diagrep.display_representative, the display-order lexicographic maximum of
-the orbit, which is the representative the reference tables use.
+its orbit.  Level 0 is the zero vector.  The children of a class x are the
+vectors x + e_c that are their own display representative, for every
+nonzero character c whose display position is at or after the last nonzero
+display position of x.
 
-The enumeration is an embarrassingly parallel map over the value of q_1;
-the merge is a set union of canonical forms, so the output is
-byte-identical for any worker count.
+This reaches every class exactly once.  If y is the display-order maximum
+of its orbit, so is its parent y - e_L, L its last nonzero display position.
+Else some relabelling reads y - e_L larger, first at a position p.  If
+p < L, it reads y larger too: the unit it adds lands either before p, where
+y and y - e_L agree, or at or after p, leaving it ahead at p.  If p >= L,
+both readings agree before L, so they hold the same total from L on, and
+y - e_L holds all of it at L: no reading is larger there.  And y determines
+its parent, while a child x + e_c has its last nonzero display position at
+that of c, so y comes only from y - e_L with c = L.  No set of seen vectors
+is needed.
+
+Faithfulness and freedom from -Id are not inherited by parents, so they
+apply at the requested dimensions only, through the pattern that grouping
+computes anyway: a class of dimension n is kept iff its pattern (c_0, ..,
+c_n) has c_0 = 0 (no nonzero element fixes nothing) and c_n = 1 (only the
+identity fixes everything).
+
+Workers split each level's parents into contiguous slices; the merge is
+concatenation in slice order, so every level, and so the output, is the
+same for any worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 
-import numpy as np
-
 from . import diagrep, flip as flip_mod
-from .chargroup import evaluate
+from .chargroup import display_order
 from .diagrep import DiagonalRep
 from .cohomology import betti_numbers, primitive_counts
 from .errors import CapabilityError
@@ -90,7 +94,6 @@ class SearchConfig:
 @dataclass(frozen=True)
 class FamilyMember:
     display_q: tuple[int, ...]
-    canonical: DiagonalRep
     prim: tuple[int, ...]
     betti: tuple[int, ...]
 
@@ -107,118 +110,54 @@ class Family:
         return len(self.members)
 
 
-# -- composition scan -----------------------------------------------------------
+# -- orderly generation ------------------------------------------------------
 
 
-def admissible_rows(k: int, rows: np.ndarray) -> np.ndarray:
-    """Which rows (multiplicity vectors with q_0 = 0, shape (B, 2^k)) are
-    faithful and free of -Id: per nonzero element f, the support must meet
-    both the negative set and the positive set of f."""
-    size = 1 << k
-    nonzero = (1 << (size - 1)) - 1
-    # one bit per nonzero character: 15 bits at k = MAX_SEARCH_RANK
-    bits = np.left_shift(np.uint16(1), np.arange(size - 1, dtype=np.uint16))
-    support = ((rows[:, 1:] > 0) * bits).sum(axis=1, dtype=np.uint16)
-    keep = np.ones(len(rows), dtype=bool)
-    for f in range(1, size):
-        neg = sum(1 << (m - 1) for m in range(1, size) if evaluate(m, f) == -1)
-        keep &= (support & np.uint16(neg)) != 0
-        keep &= (support & np.uint16(nonzero & ~neg)) != 0
-    return keep
-
-
-def _compositions(total: int, parts: int, chunk: int = 131072):
-    """Yield (B, parts) int16 arrays of nonnegative compositions of total."""
-    if parts == 0:
-        if total == 0:
-            yield np.zeros((1, 0), dtype=np.int16)
-        return
-    if parts == 1:
-        yield np.array([[total]], dtype=np.int16)
-        return
-    slots = total + parts - 1
-    it = itertools.combinations(range(slots), parts - 1)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        pos = np.asarray(block, dtype=np.int64)
-        ext = np.empty((pos.shape[0], parts + 1), dtype=np.int64)
-        ext[:, 0] = -1
-        ext[:, 1:-1] = pos
-        ext[:, -1] = slots
-        yield (np.diff(ext, axis=1) - 1).astype(np.int16)
-
-
-def _enumerate_classes(k: int, n: int, first_values) -> list[tuple[int, ...]]:
-    """Canonical class representatives among vectors whose q_1 lies in
-    first_values.  Top-level function so that worker processes can receive
+def _children(k: int, parents) -> list[tuple[int, ...]]:
+    """The classes one unit above parents (display representatives), in
+    parent order.  Top-level function so that worker processes can receive
     it."""
-    size = 1 << k
-    seen: set = set()
-    classes: list[tuple[int, ...]] = []
-    for v in first_values:
-        rest = n - v
-        if rest < 0:
-            continue
-        for batch in _compositions(rest, size - 2):
-            full = np.zeros((batch.shape[0], size), dtype=np.int16)
-            full[:, 1] = v
-            full[:, 2:] = batch
-            rows = full[admissible_rows(k, full)]
-            if not len(rows):
-                continue
-            for i, key in enumerate(diagrep.key_rows(rows, n).tolist()):
-                if key in seen:
-                    continue
-                orbit = diagrep.orbit_scan(k, rows[i], n).tolist()
-                seen.update(orbit)
-                classes.append(diagrep.unkey(orbit[0], n))
-    return classes
+    order = display_order(k)
+    out = []
+    for x in parents:
+        last = max((i for i, m in enumerate(order) if x[m]), default=1)
+        for c in order[last:]:
+            y = x[:c] + (x[c] + 1,) + x[c + 1:]
+            if diagrep.is_display_representative(k, y):
+                out.append(y)
+    return out
 
 
-def _run_single_dimension(cfg: SearchConfig, n: int) -> list[Family]:
-    free = (1 << cfg.k) - 1
-    count = comb(n + free - 1, free - 1)
-    if count > COMPOSITION_BUDGET:
-        raise CapabilityError(
-            f"enumeration would scan {count} compositions "
-            f"(> budget {COMPOSITION_BUDGET})")
+def class_levels(k: int, n_max: int, workers: int = 1):
+    """Yield (n, classes) for n = 1..n_max: every relabeling class of
+    multiplicity vectors with q_0 = 0 and dimension n, unfiltered, each as
+    its display representative (a q tuple in numeric character order)."""
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        level = [(0,) * (1 << k)]
+        for n in range(1, n_max + 1):
+            step = -(-len(level) // workers)
+            slices = [level[i:i + step] for i in range(0, len(level), step)]
+            level = [y for part in run(_children, repeat(k), slices) for y in part]
+            yield n, level
 
-    if cfg.workers == 1:
-        classes = _enumerate_classes(cfg.k, n, range(n + 1))
-    else:
-        slices = [range(w, n + 1, cfg.workers) for w in range(cfg.workers)]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = pool.map(_enumerate_classes, [cfg.k] * len(slices),
-                             [n] * len(slices), slices)
-            merged: set[tuple[int, ...]] = set()
-            classes = []
-            for part in parts:
-                for row in part:
-                    if row not in merged:
-                        merged.add(row)
-                        classes.append(row)
 
-    # group canonical representatives by pattern
+def _families(cfg: SearchConfig, n: int, classes) -> list[Family]:
+    # keep the faithful classes without -Id and group them by pattern
     groups: dict[tuple[int, ...], list[DiagonalRep]] = {}
-    for row in classes:
-        canon = DiagonalRep(cfg.k, row)
-        groups.setdefault(diagrep.pattern(canon), []).append(canon)
+    for q in classes:
+        rep = DiagonalRep(cfg.k, q)
+        patt = diagrep.pattern(rep)
+        if patt[0] == 0 and patt[n] == 1:
+            groups.setdefault(patt, []).append(rep)
 
     families = []
     for patt, reps in groups.items():
         if len(reps) < cfg.min_family_size:
             continue
-        members = []
-        for canon in reps:
-            disp = diagrep.display_representative(canon)
-            members.append(FamilyMember(
-                display_q=disp.to_display(),
-                canonical=canon,
-                prim=primitive_counts(disp),
-                betti=betti_numbers(disp),
-            ))
+        members = [FamilyMember(display_q=rep.to_display(),
+                                prim=primitive_counts(rep),
+                                betti=betti_numbers(rep)) for rep in reps]
         members.sort(key=lambda m: m.display_q, reverse=True)
         families.append(Family(cfg.k, n, patt, tuple(members)))
     families.sort(key=lambda f: f.members[0].display_q, reverse=True)
@@ -229,9 +168,17 @@ def enumerate_families(cfg: SearchConfig) -> list[Family]:
     """All families (pattern classes with >= min_family_size inequivalent
     members) for every dimension in the configured range, deterministically
     ordered: ascending dimension, then descending leading member."""
+    free = (1 << cfg.k) - 1
+    n_max = cfg.dimensions[-1]
+    count = comb(n_max + free - 1, free - 1)
+    if count > COMPOSITION_BUDGET:
+        raise CapabilityError(
+            f"the search space holds {count} multiplicity vectors of dimension "
+            f"{n_max} (> budget {COMPOSITION_BUDGET})")
     out = []
-    for n in cfg.dimensions:
-        out.extend(_run_single_dimension(cfg, n))
+    for n, classes in class_levels(cfg.k, n_max, cfg.workers):
+        if n >= cfg.n:
+            out.extend(_families(cfg, n, classes))
     return out
 
 
@@ -293,22 +240,10 @@ def families_to_json(cfg: SearchConfig, families) -> str:
 def families_from_json(text: str) -> list[Family]:
     data = json.loads(text)
     runs = data if isinstance(data, list) else [data]
-    out = []
-    for run in runs:
-        k = run["k"]
-        for fam in run["families"]:
-            members = []
-            for m in fam["members"]:
-                disp = tuple(m["q"])
-                rep = DiagonalRep.from_display(k, disp)
-                members.append(FamilyMember(
-                    display_q=disp,
-                    canonical=diagrep.canonical_form(rep),
-                    prim=tuple(m["prim"]),
-                    betti=tuple(m["betti"]),
-                ))
-            out.append(Family(k, run["n"], tuple(fam["pattern"]), tuple(members)))
-    return out
+    return [Family(run["k"], run["n"], tuple(fam["pattern"]),
+                   tuple(FamilyMember(tuple(m["q"]), tuple(m["prim"]), tuple(m["betti"]))
+                         for m in fam["members"]))
+            for run in runs for fam in run["families"]]
 
 
 def families_to_csv(families) -> str:

@@ -2,12 +2,19 @@
 
 These deliberately avoid the library's computation paths: Betti numbers by
 walking all 2^n coordinate subsets, the Kaehler pairing test by exhaustive
-matching, Sunada tables straight from column data with index-set arithmetic.
+matching, Sunada tables straight from column data with index-set arithmetic,
+character relabelings by listing every automorphism of Z_2^k.
 """
 
+from functools import lru_cache
+from typing import Iterator
+
+import numpy as np
+
 from flatiso.bieberbach import derive_element_translations
-from flatiso.chargroup import check_mask, evaluate
+from flatiso.chargroup import MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank, evaluate
 from flatiso.diagrep import coordinate_characters
+from flatiso.errors import CapabilityError
 
 
 def brute_betti(rep):
@@ -93,3 +100,81 @@ def sunada_from_columns(char_indices, half_rows, k):
                         t += 1
             counts[(s, t)] += 1
     return dict(counts)
+
+
+# -- automorphisms of the character group ----------------------------------
+
+
+def _invertible_matrices(k: int) -> Iterator[tuple[int, ...]]:
+    """Yield every invertible k x k matrix over GF(2) as a tuple of column masks."""
+    cols: list[int] = []
+    span = {0}
+
+    def rec():
+        if len(cols) == k:
+            yield tuple(cols)
+            return
+        for c in range(1, 1 << k):
+            if c in span:
+                continue
+            cols.append(c)
+            added = [s ^ c for s in span]
+            span.update(added)
+            yield from rec()
+            span.difference_update(added)
+            cols.pop()
+
+    yield from rec()
+
+
+def _mask_images(cols: tuple[int, ...], k: int) -> tuple[int, ...]:
+    img = [0] * (1 << k)
+    for m in range(1, 1 << k):
+        low = m & -m
+        img[m] = img[m ^ low] ^ cols[low.bit_length() - 1]
+    return tuple(img)
+
+
+def automorphisms(k: int) -> Iterator[tuple[int, ...]]:
+    """Iterate over the dual automorphisms of Z_2^k.
+
+    Each item is a permutation of the 2^k masks given as a lookup tuple
+    ``img`` with ``img[m]`` the image of mask ``m``; the maps are exactly
+    the bit-linear bijections, prod_{i<k}(2^k - 2^i) of them.  Capped at
+    k = 5 (~9.9M maps); beyond that use pairwise invariants instead of
+    exhaustive iteration.
+    """
+    check_rank(k)
+    if k > MAX_EXHAUSTIVE_AUT_RANK:
+        raise CapabilityError(
+            f"exhaustive automorphism iteration is limited to k <= {MAX_EXHAUSTIVE_AUT_RANK}; "
+            "use invariant pre-filters plus pairwise orbit search for larger ranks"
+        )
+    for cols in _invertible_matrices(k):
+        yield _mask_images(cols, k)
+
+
+def automorphism_count(k: int) -> int:
+    """Order of GL(k, 2)."""
+    n = 1
+    for i in range(k):
+        n *= (1 << k) - (1 << i)
+    return n
+
+
+# largest number of automorphism maps automorphism_table materializes
+AUT_BLOCK = 65536
+
+
+@lru_cache(maxsize=None)
+def automorphism_table(k: int) -> np.ndarray:
+    """All automorphisms of Z_2^k as one cached (|GL(k,2)|, 2^k) uint8 array.
+
+    Materialized only while |GL(k,2)| <= AUT_BLOCK (k <= 4; 20160 x 16 at
+    k = 4).
+    """
+    check_rank(k)
+    if automorphism_count(k) > AUT_BLOCK:
+        raise CapabilityError(f"automorphism_table is materialized only for "
+                              f"at most {AUT_BLOCK} maps")
+    return np.array(list(automorphisms(k)), dtype=np.uint8)

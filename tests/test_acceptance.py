@@ -14,9 +14,9 @@ import time
 
 import goldens
 from conftest import random_rep
-from oracles import brute_betti, brute_block_matching, sunada_from_columns
+from oracles import (automorphism_table, brute_betti, brute_block_matching,
+                     sunada_from_columns)
 from flatiso import bieberbach, search
-from flatiso.chargroup import automorphism_table
 from flatiso.cohomology import (betti_numbers, invariant_span, kahler_obstruction,
                                 lefschetz_multiplicities, minimal_generator_count,
                                 primitive_basis, primitive_counts, wedge_span)

@@ -2,9 +2,9 @@ import pytest
 
 import goldens
 from conftest import random_rep
-from oracles import brute_betti, brute_block_matching, primitive_count_p4_k3
+from oracles import (automorphism_table, brute_betti, brute_block_matching,
+                     primitive_count_p4_k3)
 from flatiso import bieberbach
-from flatiso.chargroup import automorphism_table
 from flatiso.cohomology import (GradedSpan, betti_numbers, decomposition_check,
                                 format_monomial, invariant_basis, invariant_span,
                                 kahler_obstruction, lefschetz_multiplicities,

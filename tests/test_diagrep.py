@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import diagonal_reps, random_rep
+from oracles import _mask_images, automorphism_table, automorphisms
 from flatiso import chargroup, diagrep
 from flatiso.diagrep import (DiagonalRep, are_equivalent, canonical_form,
                              contains_minus_identity, display_representative,
-                             fixed_dim, format_rep, is_faithful, is_orientable,
-                             kahler_class, parse_rep, pattern)
+                             fixed_dim, format_rep, is_display_representative,
+                             is_faithful, is_orientable, kahler_class, parse_rep,
+                             pattern)
 from flatiso.errors import CapabilityError
 
 
@@ -134,7 +136,7 @@ def test_pattern_counts_all_elements(rep):
 @settings(max_examples=60)
 def test_equivalence_preserves_pattern(rep):
     rng = random.Random(hash(rep.q) & 0xFFFF)
-    perms = chargroup.automorphism_table(rep.k)
+    perms = automorphism_table(rep.k)
     img = perms[rng.randrange(len(perms))]
     other = DiagonalRep(rep.k, tuple(rep.q[img[m]] for m in range(1 << rep.k)))
     assert are_equivalent(rep, other)
@@ -143,7 +145,7 @@ def test_equivalence_preserves_pattern(rep):
 
 
 def test_equivalence_is_equivalence_relation(rng):
-    perms = chargroup.automorphism_table(3)
+    perms = automorphism_table(3)
     for _ in range(40):
         a = random_rep(rng, 3, rng.randrange(3, 9), q0_zero=False)
         img = perms[rng.randrange(len(perms))]
@@ -177,7 +179,7 @@ def wide_reps(draw, max_k=4):
 def orbit_readers(k):
     """Per automorphism img, readers of q[img] in numeric and in display order."""
     order = chargroup.display_order(k)[1:] + (0,)
-    maps = list(chargroup.automorphisms(k))
+    maps = list(automorphisms(k))
     return ([itemgetter(*img) for img in maps],
             [itemgetter(*(img[m] for m in order)) for img in maps], order)
 
@@ -197,11 +199,15 @@ def orbit_readers(k):
 @settings(max_examples=80)
 def test_orbit_extremes_match_brute_force(rep):
     # the least q and the display-greatest q over the orbit, one automorphism
-    # at a time, against the pruned search
+    # at a time, against the pruned search; the display-greatest member is
+    # the only one that is its own display representative
     numeric, display, order = orbit_readers(rep.k)
     assert canonical_form(rep).q == min(read(rep.q) for read in numeric)
-    greatest = display_representative(rep).q
-    assert tuple(greatest[m] for m in order) == max(read(rep.q) for read in display)
+    greatest = max(read(rep.q) for read in display)
+    assert tuple(display_representative(rep).q[m] for m in order) == greatest
+    members = {num(rep.q): disp(rep.q) for num, disp in zip(numeric, display)}
+    for member, reading in members.items():
+        assert is_display_representative(rep.k, member) == (reading == greatest)
 
 
 @st.composite
@@ -214,7 +220,7 @@ def relabelled_k5(draw):
         c = draw(st.integers(1, 31).filter(lambda c, span=frozenset(span): c not in span))
         cols += (c,)
         span |= {s ^ c for s in span}
-    img = chargroup._mask_images(cols, 5)
+    img = _mask_images(cols, 5)
     return DiagonalRep(5, tuple(q)), DiagonalRep(5, tuple(q[img[m]] for m in range(32)))
 
 
@@ -241,6 +247,7 @@ def test_all_ones_k5_is_its_own_extreme():
 
 def test_relabelling_search_rank_cap():
     rep = DiagonalRep(6, (0,) + (1,) * 63)
-    for call in (canonical_form, display_representative, lambda r: are_equivalent(r, r)):
+    for call in (canonical_form, display_representative, lambda r: are_equivalent(r, r),
+                 lambda r: is_display_representative(r.k, r.q)):
         with pytest.raises(CapabilityError, match="k <= 5"):
             call(rep)

@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import goldens
+from oracles import automorphism_table
 from flatiso import diagrep, search
 from flatiso.diagrep import DiagonalRep
 from flatiso.errors import CapabilityError
@@ -79,50 +81,82 @@ def test_patterns_differ_across_families():
     assert len(patterns) == len(set(patterns))
 
 
-def q0_zero_reps(k, n):
-    """Every representation of dimension n with q_0 = 0, by stars and bars."""
+def q0_zero_vectors(k, n):
+    """Every multiplicity vector of dimension n with q_0 = 0, by stars and bars."""
     size = 1 << k
     for combo in itertools.combinations(range(n + size - 2), size - 2):
-        parts = []
+        parts = [0]
         prev = -1
         for c in combo + (n + size - 2,):
             parts.append(c - prev - 1)
             prev = c
-        yield DiagonalRep(k, (0,) + tuple(parts))
+        yield tuple(parts)
 
 
 def class_count_oracle(k, n):
-    """Independent tally: canonicalize every filtered composition directly."""
+    """Independent tally: every vector with q_0 = 0, deduplicated by marking
+    its whole orbit from the full automorphism table, then filtered."""
+    perms = automorphism_table(k)
     seen = set()
-    for rep in q0_zero_reps(k, n):
-        if not diagrep.is_faithful(rep) or diagrep.contains_minus_identity(rep):
+    count = 0
+    for q in q0_zero_vectors(k, n):
+        if q in seen:
             continue
-        seen.add(diagrep.canonical_form(rep).q)
-    return len(seen)
+        seen.update(map(tuple, np.array(q)[perms].tolist()))
+        rep = DiagonalRep(k, q)
+        count += diagrep.is_faithful(rep) and not diagrep.contains_minus_identity(rep)
+    return count
 
 
-@pytest.mark.parametrize("k, n_max", [(3, 9), (4, 6)])
-def test_admissible_rows_match_diagrep_filters(k, n_max):
-    for n in range(1, n_max + 1):
-        reps = list(q0_zero_reps(k, n))
-        got = search.admissible_rows(k, np.array([rep.q for rep in reps], dtype=np.int16))
-        expected = [diagrep.is_faithful(rep) and not diagrep.contains_minus_identity(rep)
-                    for rep in reps]
-        assert got.tolist() == expected
+@pytest.mark.parametrize("k, n", [pytest.param(3, n, id=str(n)) for n in (8, 9, 10)]
+                         + [pytest.param(4, n, id=f"k4-{n}") for n in (6, 7)])
+def test_class_count_matches_direct_tally(k, n):
+    fams = enumerate_families(SearchConfig(k=k, n=n, min_family_size=1))
+    assert sum(f.size for f in fams) == class_count_oracle(k, n)
 
 
-@pytest.mark.parametrize("n", [8, 9, 10])
-def test_class_count_matches_direct_tally(n):
-    fams = enumerate_families(SearchConfig(k=3, n=n, min_family_size=1))
-    assert sum(f.size for f in fams) == class_count_oracle(3, n)
+def burnside_class_counts(k, n_max):
+    """Orbit counts of relabeling on the vectors with q_0 = 0, for dimensions
+    1..n_max, by Burnside's lemma over the cycle index of the full
+    automorphism table: a map fixes the vectors constant on its cycles."""
+    perms = automorphism_table(k).tolist()
+    cycle_types = Counter()
+    for img in perms:
+        lengths, done = [], {0}
+        for m in range(1, 1 << k):
+            size = 0
+            while m not in done:
+                done.add(m)
+                m, size = img[m], size + 1
+            if size:
+                lengths.append(size)
+        cycle_types[tuple(sorted(lengths))] += 1
+    total = [0] * (n_max + 1)
+    for lengths, count in cycle_types.items():
+        fixed = [1] + [0] * n_max       # series of prod 1 / (1 - t^l)
+        for length in lengths:
+            for i in range(length, n_max + 1):
+                fixed[i] += fixed[i - length]
+        total = [t + count * f for t, f in zip(total, fixed)]
+    assert all(t % len(perms) == 0 for t in total)
+    return [t // len(perms) for t in total[1:]]
+
+
+@pytest.mark.parametrize("k, n_max", [(3, 12), (4, 10)])
+def test_class_levels_match_burnside_counts(k, n_max):
+    got = [len(classes) for _, classes in search.class_levels(k, n_max)]
+    assert got == burnside_class_counts(k, n_max)
+    if k == 4:
+        assert got[8:] == [200, 372]
 
 
 def test_worker_counts_do_not_change_output():
-    cfg1 = SearchConfig(k=3, n=10, workers=1)
-    cfg4 = SearchConfig(k=3, n=10, workers=4)
-    f1, f4 = enumerate_families(cfg1), enumerate_families(cfg4)
-    assert f1 == f4
-    assert families_to_json(cfg1, f1) == families_to_json(cfg4, f4)
+    for k, n, workers in ((3, 10, 4), (4, 9, 2)):
+        cfg1 = SearchConfig(k=k, n=n, workers=1)
+        cfgw = SearchConfig(k=k, n=n, workers=workers)
+        f1, fw = enumerate_families(cfg1), enumerate_families(cfgw)
+        assert f1 == fw
+        assert families_to_json(cfg1, f1) == families_to_json(cfgw, fw)
 
 
 def test_json_round_trip():
