@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import flip as flip_mod
@@ -310,6 +310,15 @@ def construct_dim7_pair() -> tuple[BieberbachGroup, BieberbachGroup]:
 
 # -- translation search -------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _negations(k: int):
+    """Per character m, the bitmask of the elements I with chi_m(I) = -1; per
+    element I, the nonzero characters negating it, ascending."""
+    size = 1 << k
+    negs = tuple(sum(1 << e for e in range(size) if evaluate(m, e) == -1) for m in range(size))
+    return negs, tuple(tuple(m for m in range(1, size) if negs[m] >> e & 1) for e in range(size))
+
+
 def find_translations(rep: DiagonalRep, wide_search: bool = False, order=None):
     """Deterministic backtracking search for translation vectors making the
     representation the holonomy of a Bieberbach group; None when the search
@@ -317,66 +326,74 @@ def find_translations(rep: DiagonalRep, wide_search: bool = False, order=None):
 
     Each coordinate of a block carries a "tag" in {0..2^k-1}: bit i-1 set
     means generator i has a half entry there.  Element I is torsion-killed
-    by a coordinate in block J with tag m iff chi_J(I) = +1 and chi_m(I) = -1.
-    The search assigns, element by element (ascending mask order), a killing
-    (block, tag) pair, reusing already-placed coordinates first and
-    respecting block capacities; by default each generator uses at most two
-    half entries per block (the shape of all the fixed constructions), which
-    wide_search lifts.
+    by a coordinate in block J with tag m iff chi_J(I) = +1 and chi_m(I) = -1,
+    i.e. the coordinate kills the element bitmask fixes[J] & negs[m].  The
+    search carries the mask of killed elements and branches on the lowest
+    unkilled nonzero element over the fresh coordinates that kill it, in
+    (block order, ascending tag) order, respecting block capacities; by
+    default each generator uses at most two half entries per block (the
+    shape of all the fixed constructions), which wide_search lifts.  That is
+    the depth-first order of the element-by-element search that skips killed
+    elements, so the first solution is the same.
+
+    Two cuts drop only subtrees without a solution, so that order stays.
+    Forward check (the column test of Knuth's Algorithm X, without its
+    reordering): an unkilled element needs a new coordinate in a block that
+    fixes it, and blocks only fill up, so cut once one lies outside the union
+    of fixes[J] over blocks with free slots; at the root this rejects every
+    representation with -Id.  Counting cut: a coordinate kills at most
+    2^(k-2) elements (2^(k-1) in the trivial block), so cut when more
+    elements than that times the free slots are unkilled.
     """
     k = rep.k
     size = 1 << k
-    blocks = [m for m in (order if order is not None else display_order(k)) if rep.q[m] > 0]
-    capacity = {m: rep.q[m] for m in blocks}
-    per_gen_cap = rep.n if wide_search else 2
-
-    placed: dict[int, list[int]] = {m: [] for m in blocks}  # block -> tags in use
-
-    def kills(block, tag, element):
-        return evaluate(block, element) == 1 and evaluate(tag, element) == -1
-
-    def gen_count(block, i):
-        return sum(1 for t in placed[block] if t >> i & 1)
-
-    def fresh_candidates(element):
-        # a new tagged coordinate, tried in (block order, ascending tag) order
-        for block in blocks:
-            if len(placed[block]) >= capacity[block]:
-                continue
-            for tag in range(1, size):
-                if not kills(block, tag, element):
-                    continue
-                if any(tag >> i & 1 and gen_count(block, i) >= per_gen_cap for i in range(k)):
-                    continue
-                yield (block, tag)
-
-    def solve(element):
-        if element == size:
-            return True
-        if any(kills(b, t, element) for b in blocks for t in placed[b]):
-            return solve(element + 1)
-        for block, tag in fresh_candidates(element):
-            placed[block].append(tag)
-            if solve(element + 1):
-                return True
-            placed[block].pop()
-        return False
-
     if all(v == 0 for m, v in enumerate(rep.q) if m):
         raise ValueError("trivial holonomy: no generators to solve for")
-    if not solve(1):
+    layout = order if order is not None else display_order(k)
+    blocks = [m for m in layout if rep.q[m] > 0]
+    negs, tags_killing = _negations(k)
+    fixes = {m: negs[m] ^ ((1 << size) - 1) for m in blocks}
+    most = size >> 1 if 0 in fixes else size >> 2
+    nonzero = (1 << size) - 2
+    placed: dict[int, list[int]] = {m: [] for m in blocks}  # block -> tags in use
+    halves = dict.fromkeys(blocks, (0, 0))  # block -> generators with >= 1, >= 2 half entries
+
+    def solve(covered):
+        uncovered = nonzero & ~covered
+        if not uncovered:
+            return True
+        open_blocks = [m for m in blocks if len(placed[m]) < rep.q[m]]
+        live = 0
+        for m in open_blocks:
+            live |= fixes[m]
+        slots = sum(rep.q[m] - len(placed[m]) for m in open_blocks)
+        if uncovered & ~live or uncovered.bit_count() > most * slots:
+            return False
+        element = (uncovered & -uncovered).bit_length() - 1
+        for block in open_blocks:
+            if not fixes[block] >> element & 1:
+                continue
+            once, twice = halves[block]
+            for tag in tags_killing[element]:
+                if tag & twice and not wide_search:
+                    continue
+                placed[block].append(tag)
+                halves[block] = (once | tag, twice | once & tag)
+                if solve(covered | fixes[block] & negs[tag]):
+                    return True
+                placed[block].pop()
+            halves[block] = (once, twice)
+        return False
+
+    if not solve(0):
         return None
 
     rows = [[0] * rep.n for _ in range(k)]
     chars = coordinate_characters(rep, order)
-    offset = {}
-    pos = 0
-    for m in (order if order is not None else display_order(k)):
-        offset[m] = pos
-        pos += rep.q[m]
+    starts = _block_starts(rep, layout)
     for block in blocks:
         for slot, tag in enumerate(placed[block]):
-            j = offset[block] + slot
+            j = starts[block] - 1 + slot
             for i in range(k):
                 if tag >> i & 1:
                     rows[i][j] = 1

@@ -122,7 +122,13 @@ def _cmd_find_translations(args) -> str:
     rep = _parse_rep(args)
     group = bieberbach.find_translations(rep, wide_search=args.wide_search)
     if group is None:
-        return "no torsion-free translation assignment found"
+        reason = ""
+        if diagrep.contains_minus_identity(rep):
+            reason = ": some nonzero element acts as -Id, so no Bieberbach group has this holonomy"
+        elif not args.wide_search:
+            reason = (" in the narrow search (at most two half entries per generator per block);"
+                      " try --wide-search")
+        return "no torsion-free translation assignment found" + reason
     bieberbach.write_bgf(group, args.out)
     return f"wrote {args.out}"
 

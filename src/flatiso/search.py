@@ -155,9 +155,10 @@ def _families(cfg: SearchConfig, n: int, classes) -> list[Family]:
     for patt, reps in groups.items():
         if len(reps) < cfg.min_family_size:
             continue
-        members = [FamilyMember(display_q=rep.to_display(),
-                                prim=primitive_counts(rep),
-                                betti=betti_numbers(rep)) for rep in reps]
+        # Molien: beta_p = 2^-k sum_f [t^p] (1+t)^{n_f} (1-t)^{n-n_f}, a function of the pattern
+        betti = betti_numbers(reps[0])
+        members = [FamilyMember(display_q=rep.to_display(), prim=primitive_counts(rep),
+                                betti=betti) for rep in reps]
         members.sort(key=lambda m: m.display_q, reverse=True)
         families.append(Family(cfg.k, n, patt, tuple(members)))
     families.sort(key=lambda f: f.members[0].display_q, reverse=True)

@@ -1,9 +1,11 @@
 """Independent reference implementations used only to cross-check results.
 
 These deliberately avoid the library's computation paths: Betti numbers by
-walking all 2^n coordinate subsets, the Kaehler pairing test by exhaustive
-matching, Sunada tables straight from column data with index-set arithmetic,
-character relabelings by listing every automorphism of Z_2^k.
+walking all 2^n coordinate subsets or by Molien's formula over the pattern,
+the Kaehler pairing test by exhaustive matching, Sunada tables straight from
+column data with index-set arithmetic, character relabelings by listing
+every automorphism of Z_2^k, and the translation search as the plain
+element-by-element backtracking, without the library's bitmask cuts.
 """
 
 from functools import lru_cache
@@ -11,9 +13,10 @@ from typing import Iterator
 
 import numpy as np
 
-from flatiso.bieberbach import derive_element_translations
-from flatiso.chargroup import MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank, evaluate
-from flatiso.diagrep import coordinate_characters
+from flatiso.bieberbach import BieberbachGroup, derive_element_translations, is_torsion_free
+from flatiso.chargroup import (MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank, display_order,
+                               evaluate)
+from flatiso.diagrep import DiagonalRep, coordinate_characters
 from flatiso.errors import CapabilityError
 
 
@@ -30,6 +33,21 @@ def brute_betti(rep):
         if chars[s] == 0:
             counts[s.bit_count()] += 1
     return tuple(counts)
+
+
+def molien_betti(patt, k):
+    """Betti numbers from the pattern alone, by Molien's formula:
+    beta_p = 2^-k sum_f [t^p] (1+t)^{n_f} (1-t)^{n-n_f}, where pattern entry
+    c_s counts the elements f with n_f = s."""
+    from math import comb
+    n = len(patt) - 1
+    out = []
+    for p in range(n + 1):
+        total = sum(c * comb(s, j) * comb(n - s, p - j) * (-1) ** (p - j)
+                    for s, c in enumerate(patt) for j in range(p + 1))
+        assert total % (1 << k) == 0
+        out.append(total >> k)
+    return tuple(out)
 
 
 def primitive_count_p4_k3(rep):
@@ -178,3 +196,81 @@ def automorphism_table(k: int) -> np.ndarray:
         raise CapabilityError(f"automorphism_table is materialized only for "
                               f"at most {AUT_BLOCK} maps")
     return np.array(list(automorphisms(k)), dtype=np.uint8)
+
+
+# -- translation search ------------------------------------------------------
+
+
+def find_translations_reference(rep: DiagonalRep, wide_search: bool = False, order=None):
+    """Deterministic backtracking search for translation vectors making the
+    representation the holonomy of a Bieberbach group; None when the search
+    space is exhausted.
+
+    Each coordinate of a block carries a "tag" in {0..2^k-1}: bit i-1 set
+    means generator i has a half entry there.  Element I is torsion-killed
+    by a coordinate in block J with tag m iff chi_J(I) = +1 and chi_m(I) = -1.
+    The search assigns, element by element (ascending mask order), a killing
+    (block, tag) pair, reusing already-placed coordinates first and
+    respecting block capacities; by default each generator uses at most two
+    half entries per block (the shape of all the fixed constructions), which
+    wide_search lifts.
+    """
+    k = rep.k
+    size = 1 << k
+    blocks = [m for m in (order if order is not None else display_order(k)) if rep.q[m] > 0]
+    capacity = {m: rep.q[m] for m in blocks}
+    per_gen_cap = rep.n if wide_search else 2
+
+    placed: dict[int, list[int]] = {m: [] for m in blocks}  # block -> tags in use
+
+    def kills(block, tag, element):
+        return evaluate(block, element) == 1 and evaluate(tag, element) == -1
+
+    def gen_count(block, i):
+        return sum(1 for t in placed[block] if t >> i & 1)
+
+    def fresh_candidates(element):
+        # a new tagged coordinate, tried in (block order, ascending tag) order
+        for block in blocks:
+            if len(placed[block]) >= capacity[block]:
+                continue
+            for tag in range(1, size):
+                if not kills(block, tag, element):
+                    continue
+                if any(tag >> i & 1 and gen_count(block, i) >= per_gen_cap for i in range(k)):
+                    continue
+                yield (block, tag)
+
+    def solve(element):
+        if element == size:
+            return True
+        if any(kills(b, t, element) for b in blocks for t in placed[b]):
+            return solve(element + 1)
+        for block, tag in fresh_candidates(element):
+            placed[block].append(tag)
+            if solve(element + 1):
+                return True
+            placed[block].pop()
+        return False
+
+    if all(v == 0 for m, v in enumerate(rep.q) if m):
+        raise ValueError("trivial holonomy: no generators to solve for")
+    if not solve(1):
+        return None
+
+    rows = [[0] * rep.n for _ in range(k)]
+    chars = coordinate_characters(rep, order)
+    offset = {}
+    pos = 0
+    for m in (order if order is not None else display_order(k)):
+        offset[m] = pos
+        pos += rep.q[m]
+    for block in blocks:
+        for slot, tag in enumerate(placed[block]):
+            j = offset[block] + slot
+            for i in range(k):
+                if tag >> i & 1:
+                    rows[i][j] = 1
+    group = BieberbachGroup(k, chars, tuple(tuple(r) for r in rows))
+    assert is_torsion_free(group).ok
+    return group

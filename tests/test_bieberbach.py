@@ -1,10 +1,14 @@
+import hashlib
 import io
+import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import goldens
-from conftest import random_rep
-from oracles import element_translation, half_fixed_count
+from conftest import diagonal_reps, random_rep
+from oracles import element_translation, find_translations_reference, half_fixed_count
 from flatiso import bieberbach
 from flatiso.bieberbach import (BieberbachGroup, column_notation, construct_dim7_pair,
                                 construct_family24, construct_main_pair,
@@ -12,7 +16,8 @@ from flatiso.bieberbach import (BieberbachGroup, column_notation, construct_dim7
                                 is_sunada_isospectral, is_torsion_free, read_bgf,
                                 sunada_table, sunada_table_text)
 from flatiso.cohomology import kahler_obstruction, primitive_counts
-from flatiso.diagrep import DiagonalRep, fixed_dim, kahler_class, pattern
+from flatiso.diagrep import (DiagonalRep, contains_minus_identity, fixed_dim, kahler_class,
+                             pattern)
 
 
 def test_element_translations_are_mod1_sums():
@@ -219,6 +224,84 @@ def test_find_translations_wide_smoke(rng):
 def test_find_translations_deterministic():
     rep = DiagonalRep.from_display(3, (3, 1, 1, 1, 0, 1, 0))
     assert find_translations(rep) == find_translations(rep)
+
+
+def _search_text(search, rep, wide):
+    try:
+        group = search(rep, wide_search=wide)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return None if group is None else bieberbach.bgf_text(group)
+
+
+@given(diagonal_reps(max_k=3, max_n=10), st.booleans())
+@settings(max_examples=150)
+def test_find_translations_matches_reference(rep, wide):
+    # the cuts drop only dead subtrees: same first solution, same None
+    assert (_search_text(find_translations, rep, wide)
+            == _search_text(find_translations_reference, rep, wide))
+
+
+def _pinned_inputs():
+    """Faithful k=4 and k=5 representations without -Id, from a fixed seed."""
+    rng = random.Random(7)
+    out = []
+    for k, count in ((4, 40), (5, 20)):
+        while sum(r.k == k for r in out) < count:
+            rep = random_rep(rng, k, rng.randrange(k + 2, k + 10), faithful=True)
+            if not contains_minus_identity(rep):
+                out.append(rep)
+    return out
+
+
+def test_find_translations_pinned_digest():
+    # captured with the plain element-by-element search, which takes up to 13 s
+    # on one of these inputs (find_translations_reference)
+    digest = hashlib.sha256()
+    for rep in _pinned_inputs():
+        for wide in (False, True):
+            text = _search_text(find_translations, rep, wide)
+            digest.update(b"None\n" if text is None else text.encode())
+    assert digest.hexdigest() == (
+        "34b6c70fa56fdbde6ca1e65f4ed7d114e6fe055f9999116625e32c03ef5b6ed8")
+
+
+def _timed_search(rep):
+    start = time.perf_counter()
+    group = find_translations(rep)
+    return group, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("rep", [
+    DiagonalRep.from_display(5, (1,) * 5 + (0,) * 26),
+    DiagonalRep.from_display(5, (2,) * 5 + (0,) * 26),
+    DiagonalRep(4, (0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 2, 2, 1, 4, 0, 2)),
+], ids=["k5-singletons-1", "k5-singletons-2", "k4-minus-id"])
+def test_find_translations_minus_identity_ends(rep):
+    # the plain search ran past 20 s (k=5) and for about 3 minutes (k=4) on these; the
+    # forward check rejects -Id at the root
+    assert contains_minus_identity(rep)
+    group, seconds = _timed_search(rep)
+    assert group is None and seconds < 1
+
+
+K4_SLOW_BGF = """BGF1
+k=4 n=13
+B1 + + + + + + + + - - + - +
+b1 1 0 0 0 0 0 0 0 1 0 0 0 0
+B2 - + + + + + + + + + + - -
+b2 0 1 0 0 0 0 0 0 0 0 0 1 0
+B3 + - + + + + + + + + - + -
+b3 0 0 1 0 0 0 0 0 0 0 1 0 0
+B4 + + - - - - - - - - - - -
+b4 0 1 0 0 0 0 0 0 0 0 0 0 0
+"""
+
+
+def test_find_translations_slow_solution_is_kept():
+    # about 1 s in the plain search, which found this group
+    group, seconds = _timed_search(DiagonalRep(4, (0, 0, 1, 0, 1, 0, 0, 0, 6, 2, 0, 1, 1, 0, 1, 0)))
+    assert bieberbach.bgf_text(group) == K4_SLOW_BGF and seconds < 1
 
 
 def test_bgf_roundtrip():

@@ -103,6 +103,9 @@ def test_build_24_round_trip(tmp_path):
     assert group == bieberbach.construct_family24(5)
 
 
+NONE_FOUND = "no torsion-free translation assignment found"
+
+
 def test_find_translations_cli(tmp_path):
     path = str(tmp_path / "found.bgf")
     code, out, _ = invoke("find-translations", "--k", "3",
@@ -112,7 +115,33 @@ def test_find_translations_cli(tmp_path):
     code, out, _ = invoke("find-translations", "--k", "1", "--rep", "2",
                           "--out", str(tmp_path / "none.bgf"))
     assert code == 0
-    assert "no torsion-free translation assignment found" in out
+    assert NONE_FOUND in out
+    assert not (tmp_path / "none.bgf").exists()
+
+
+def test_find_translations_cli_minus_identity(tmp_path):
+    # k=1, 2 chi_1: the generator acts as -Id, which no search can mend
+    code, out, _ = invoke("find-translations", "--k", "1", "--rep", "2", "--wide-search",
+                          "--out", str(tmp_path / "none.bgf"))
+    assert code == 0
+    assert out == (NONE_FOUND + ": some nonzero element acts as -Id, "
+                   "so no Bieberbach group has this holonomy\n")
+
+
+def test_find_translations_cli_narrow_search(tmp_path):
+    # chi_1 + chi_2 + chi_12: no element acts as -Id, and the narrow search finds nothing
+    code, out, _ = invoke("find-translations", "--k", "3", "--rep", "1,1,0,1,0,0,0",
+                          "--out", str(tmp_path / "none.bgf"))
+    assert code == 0
+    assert out == (NONE_FOUND + " in the narrow search (at most two half entries per "
+                   "generator per block); try --wide-search\n")
+
+
+def test_find_translations_cli_wide_search(tmp_path):
+    code, out, _ = invoke("find-translations", "--k", "3", "--rep", "1,1,0,1,0,0,0",
+                          "--wide-search", "--out", str(tmp_path / "none.bgf"))
+    assert code == 0
+    assert out == NONE_FOUND + "\n"
     assert not (tmp_path / "none.bgf").exists()
 
 

@@ -2,7 +2,7 @@ import pytest
 
 import goldens
 from conftest import random_rep
-from oracles import (automorphism_table, brute_betti, brute_block_matching,
+from oracles import (automorphism_table, brute_betti, brute_block_matching, molien_betti,
                      primitive_count_p4_k3)
 from flatiso import bieberbach
 from flatiso.cohomology import (GradedSpan, betti_numbers, decomposition_check,
@@ -11,7 +11,8 @@ from flatiso.cohomology import (GradedSpan, betti_numbers, decomposition_check,
                                 lefschetz_operator_multiplicities,
                                 minimal_generator_count, primitive_basis,
                                 primitive_counts, wedge_span)
-from flatiso.diagrep import DiagonalRep, coordinate_characters, fixed_dim, is_orientable
+from flatiso.diagrep import (DiagonalRep, coordinate_characters, fixed_dim, is_orientable,
+                             pattern)
 from flatiso.errors import CapabilityError
 
 
@@ -41,6 +42,16 @@ def test_betti_matches_brute_force(rng):
         rep = random_rep(rng, rng.choice((1, 2, 3, 4)), rng.randrange(2, 11),
                          q0_zero=False)
         assert betti_numbers(rep) == brute_betti(rep)
+
+
+def test_betti_is_molien_sum_over_pattern(rng):
+    # the Betti numbers depend on the pattern only, so a family can share one vector
+    for _ in range(60):
+        rep = random_rep(rng, rng.randrange(1, 6), rng.randrange(1, 17), q0_zero=False)
+        betti = betti_numbers(rep)
+        assert betti == molien_betti(pattern(rep), rep.k)
+        if rep.n <= 10:
+            assert betti == brute_betti(rep)
 
 
 def test_primitive_count_examples():
