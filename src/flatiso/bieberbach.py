@@ -298,11 +298,11 @@ def construct_dim7_pair() -> tuple[BieberbachGroup, BieberbachGroup]:
     is the ground truth used here, with c_{3,2} = 1 in place of the
     duplicated c_{3,1} = 1.)
     """
-    halves = [(3, 5), (4, 5), (1, 5), (6,)]
+    half_rows = [(3, 5), (4, 5), (1, 5), (6,)]
     gamma = _group_from_columns(
-        4, ((1,), (1,), (2,), (3,), (4,), (2, 3), (2, 4)), halves)
+        4, ((1,), (1,), (2,), (3,), (4,), (2, 3), (2, 4)), half_rows)
     gamma_prime = _group_from_columns(
-        4, ((1,), (1,), (2,), (3,), (4,), (1, 2), (2, 3, 4)), halves)
+        4, ((1,), (1,), (2,), (3,), (4,), (1, 2), (2, 3, 4)), half_rows)
     for g in (gamma, gamma_prime):
         assert is_torsion_free(g).ok
     return gamma, gamma_prime
@@ -319,10 +319,11 @@ def _negations(k: int):
     return negs, tuple(tuple(m for m in range(1, size) if negs[m] >> e & 1) for e in range(size))
 
 
-def find_translations(rep: DiagonalRep, wide_search: bool = False, order=None):
+def find_translations(rep: DiagonalRep):
     """Deterministic backtracking search for translation vectors making the
-    representation the holonomy of a Bieberbach group; None when the search
-    space is exhausted.
+    representation the holonomy of a Bieberbach group; None when no
+    assignment of half entries over the block capacities gives a
+    torsion-free group.
 
     Each coordinate of a block carries a "tag" in {0..2^k-1}: bit i-1 set
     means generator i has a half entry there.  Element I is torsion-killed
@@ -330,11 +331,10 @@ def find_translations(rep: DiagonalRep, wide_search: bool = False, order=None):
     i.e. the coordinate kills the element bitmask fixes[J] & negs[m].  The
     search carries the mask of killed elements and branches on the lowest
     unkilled nonzero element over the fresh coordinates that kill it, in
-    (block order, ascending tag) order, respecting block capacities; by
-    default each generator uses at most two half entries per block (the
-    shape of all the fixed constructions), which wide_search lifts.  That is
-    the depth-first order of the element-by-element search that skips killed
-    elements, so the first solution is the same.
+    (block order, ascending tag) order, respecting block capacities.  That
+    is the depth-first order of the element-by-element search that skips
+    killed elements, so the first solution is the same.  Blocks are laid out
+    in display order.
 
     Two cuts drop only subtrees without a solution, so that order stays.
     Forward check (the column test of Knuth's Algorithm X, without its
@@ -349,14 +349,13 @@ def find_translations(rep: DiagonalRep, wide_search: bool = False, order=None):
     size = 1 << k
     if all(v == 0 for m, v in enumerate(rep.q) if m):
         raise ValueError("trivial holonomy: no generators to solve for")
-    layout = order if order is not None else display_order(k)
+    layout = display_order(k)
     blocks = [m for m in layout if rep.q[m] > 0]
     negs, tags_killing = _negations(k)
     fixes = {m: negs[m] ^ ((1 << size) - 1) for m in blocks}
     most = size >> 1 if 0 in fixes else size >> 2
     nonzero = (1 << size) - 2
     placed: dict[int, list[int]] = {m: [] for m in blocks}  # block -> tags in use
-    halves = dict.fromkeys(blocks, (0, 0))  # block -> generators with >= 1, >= 2 half entries
 
     def solve(covered):
         uncovered = nonzero & ~covered
@@ -373,23 +372,17 @@ def find_translations(rep: DiagonalRep, wide_search: bool = False, order=None):
         for block in open_blocks:
             if not fixes[block] >> element & 1:
                 continue
-            once, twice = halves[block]
             for tag in tags_killing[element]:
-                if tag & twice and not wide_search:
-                    continue
                 placed[block].append(tag)
-                halves[block] = (once | tag, twice | once & tag)
                 if solve(covered | fixes[block] & negs[tag]):
                     return True
                 placed[block].pop()
-            halves[block] = (once, twice)
         return False
 
     if not solve(0):
         return None
 
     rows = [[0] * rep.n for _ in range(k)]
-    chars = coordinate_characters(rep, order)
     starts = _block_starts(rep, layout)
     for block in blocks:
         for slot, tag in enumerate(placed[block]):
@@ -397,7 +390,7 @@ def find_translations(rep: DiagonalRep, wide_search: bool = False, order=None):
             for i in range(k):
                 if tag >> i & 1:
                     rows[i][j] = 1
-    group = BieberbachGroup(k, chars, tuple(tuple(r) for r in rows))
+    group = BieberbachGroup(k, coordinate_characters(rep), tuple(tuple(r) for r in rows))
     assert is_torsion_free(group).ok
     return group
 

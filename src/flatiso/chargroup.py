@@ -10,15 +10,14 @@ the same way, so a single mask type serves both sides of the pairing
 Products of characters are symmetric differences, i.e. XOR.  The trivial
 character is mask 0.
 
-The module also enumerates the minimal dependent sets ("circuits") of
-nonzero characters: sets whose product is trivial while no proper
-nonempty subproduct is.
+The module also enumerates, inside a given set of nonzero characters, the
+minimal dependent sets ("circuits"): sets whose product is trivial while
+no proper nonempty subproduct is.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -73,28 +72,6 @@ def display_order(k: int) -> tuple[int, ...]:
     return tuple(sorted(range(1 << k), key=lambda m: (m.bit_count(), indices_from_mask(m))))
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """Minimal dependent set of nonzero characters.
-
-    ``members`` is a strictly increasing tuple of masks whose XOR vanishes
-    with no proper nonempty sub-XOR vanishing.  Degree 2 is the boundary
-    case {I, I}: it is stored as the single mask with ``doubled`` set, so
-    that multiplicity-polynomial code can treat it as binomial(q_I, 2)
-    instead of q_I^2.
-    """
-
-    members: tuple[int, ...]
-    degree: int
-    doubled: bool = False
-
-    def __post_init__(self):
-        if self.doubled:
-            assert self.degree == 2 and len(self.members) == 1
-        else:
-            assert self.degree == len(self.members)
-
-
 def circuits_within(masks: tuple[int, ...], p: int) -> Iterator[tuple[int, ...]]:
     """Member tuples of the degree-p circuits (p >= 3) whose members all lie
     in ``masks``, an increasing tuple of nonzero masks, in lexicographic order.
@@ -109,24 +86,6 @@ def circuits_within(masks: tuple[int, ...], p: int) -> Iterator[tuple[int, ...]]
             continue
         if f2_rank(head) == p - 1:
             yield head + (last,)
-
-
-@lru_cache(maxsize=None)
-def circuits(k: int, p: int) -> tuple[Circuit, ...]:
-    """All degree-p circuits among the nonzero characters of Z_2^k, in
-    lexicographic order of their sorted member tuples.
-
-    Empty for p > k+1 (any p-1 of the members must be linearly independent).
-    """
-    check_rank(k)
-    if p < 2:
-        raise ValueError(f"circuit degree must be >= 2, got {p}")
-    if p > k + 1:
-        return ()
-    nonzero = tuple(range(1, 1 << k))
-    if p == 2:
-        return tuple(Circuit((m,), 2, doubled=True) for m in nonzero)
-    return tuple(Circuit(full, p) for full in circuits_within(nonzero, p))
 
 
 def f2_rank(masks: Iterable[int]) -> int:

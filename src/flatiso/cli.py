@@ -32,13 +32,6 @@ from .flip import DEFAULT_SPEC, FlipSpec, apply_flip
 WORKERS_ENV = "FLATISO_WORKERS"
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _parse_rep(args) -> DiagonalRep:
     return diagrep.parse_rep(args.rep, args.k, with_q0=getattr(args, "with_q0", False))
 
@@ -120,15 +113,12 @@ def _cmd_build_24(args) -> str:
 
 def _cmd_find_translations(args) -> str:
     rep = _parse_rep(args)
-    group = bieberbach.find_translations(rep, wide_search=args.wide_search)
+    group = bieberbach.find_translations(rep)
     if group is None:
-        reason = ""
+        message = "no torsion-free translation assignment found"
         if diagrep.contains_minus_identity(rep):
-            reason = ": some nonzero element acts as -Id, so no Bieberbach group has this holonomy"
-        elif not args.wide_search:
-            reason = (" in the narrow search (at most two half entries per generator per block);"
-                      " try --wide-search")
-        return "no torsion-free translation assignment found" + reason
+            message += ": some nonzero element acts as -Id, so no Bieberbach group has this holonomy"
+        return message
     bieberbach.write_bgf(group, args.out)
     return f"wrote {args.out}"
 
@@ -204,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "flat manifolds and their invariant cohomology rings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    workers = os.environ.get(WORKERS_ENV, "1")  # a string default goes through type=int
 
     def add_rep_args(p):
         p.add_argument("--k", type=int, required=True)
@@ -218,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--min-family-size", type=int, default=2)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=workers)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("analyze", help="invariants of one representation")
@@ -243,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-translations", help="search torsion-free translations")
     add_rep_args(p)
-    p.add_argument("--wide-search", action="store_true",
-                   help="lift the two-half-entries-per-generator-per-block restriction")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_find_translations)
 
@@ -255,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="reproduce a reference table")
     p.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=workers)
     p.set_defaults(fn=_cmd_tables)
 
     p = sub.add_parser("compare-rings", help="P/beta comparison of two representations")

@@ -96,20 +96,20 @@ def minimal_generator_count(rep: DiagonalRep) -> int:
 
 # -- explicit monomial bases -------------------------------------------------
 
-def _check_budget(n: int, p: int, budget: int) -> None:
-    if comb(n, p) > budget:
+def _check_budget(n: int, p: int) -> None:
+    if comb(n, p) > ENUMERATION_BUDGET:
         raise CapabilityError(
             f"listing degree-{p} monomials in dimension {n} needs {comb(n, p)} candidates "
-            f"(> budget {budget}); use the count-only interfaces"
+            f"(> budget {ENUMERATION_BUDGET}); use the count-only interfaces"
         )
 
 
-def invariant_basis(rep, p, order=None, budget=ENUMERATION_BUDGET):
+def invariant_basis(rep, p, order=None):
     """All invariant degree-p monomials (sets of 1-based coordinates), sorted."""
     n = rep.n
     if not 0 <= p <= n:
         raise ValueError(f"degree {p} outside 0..{n}")
-    _check_budget(n, p, budget)
+    _check_budget(n, p)
     psi = coordinate_characters(rep, order)
     out = []
     for combo in combinations(range(n), p):
@@ -128,25 +128,25 @@ def _has_invariant_submonomial(indices, psi) -> bool:
     return False
 
 
-def primitive_basis(rep, p, order=None, budget=ENUMERATION_BUDGET):
+def primitive_basis(rep, p, order=None):
     """Invariant degree-p monomials with no invariant proper sub-monomial."""
     if p == 0:
         return [()]
     if p > rep.k + 1:
         return []
     psi = coordinate_characters(rep, order)
-    return [mono for mono in invariant_basis(rep, p, order, budget)
+    return [mono for mono in invariant_basis(rep, p, order)
             if not _has_invariant_submonomial(mono, psi)]
 
 
-def decomposition_check(rep, p, order=None, budget=ENUMERATION_BUDGET) -> int:
+def decomposition_check(rep, p, order=None) -> int:
     """Dimension of the decomposable part of degree p: invariant monomials
     that do split off an invariant sub-monomial.  Equals beta_p - P_p.
     """
     if p == 0:
         return 0
     psi = coordinate_characters(rep, order)
-    return sum(1 for mono in invariant_basis(rep, p, order, budget)
+    return sum(1 for mono in invariant_basis(rep, p, order)
                if _has_invariant_submonomial(mono, psi))
 
 
@@ -176,11 +176,11 @@ class GradedSpan:
         return all(self.degree(d) == other.degree(d) for d in keys)
 
 
-def invariant_span(rep, degrees, order=None, budget=ENUMERATION_BUDGET) -> GradedSpan:
+def invariant_span(rep, degrees, order=None) -> GradedSpan:
     """Invariant monomial span in the given degrees."""
     monos = []
     for p in degrees:
-        monos.extend(invariant_basis(rep, p, order, budget))
+        monos.extend(invariant_basis(rep, p, order))
     return GradedSpan.from_monomials(monos)
 
 

@@ -267,7 +267,7 @@ def families_to_csv(families) -> str:
     return buf.getvalue()
 
 
-def families_to_text(families, show_p5: bool | None = None) -> str:
+def families_to_text(families) -> str:
     """Human-readable table: one block per dimension, families numbered inside."""
     lines = []
     current_n = None
@@ -278,7 +278,7 @@ def families_to_text(families, show_p5: bool | None = None) -> str:
             idx = 0
             lines.append(f"n = {fam.n}")
         idx += 1
-        p5 = fam.k >= 4 if show_p5 is None else show_p5
+        p5 = fam.k >= 4
         lines.append(f"  F[{fam.k},{fam.n}]_{idx}")
         for m in fam.members:
             q = "[" + ",".join(str(v) for v in m.display_q) + "]"

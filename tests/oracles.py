@@ -5,17 +5,23 @@ walking all 2^n coordinate subsets or by Molien's formula over the pattern,
 the Kaehler pairing test by exhaustive matching, Sunada tables straight from
 column data with index-set arithmetic, character relabelings by listing
 every automorphism of Z_2^k, and the translation search as the plain
-element-by-element backtracking, without the library's bitmask cuts.
+element-by-element backtracking, without the library's bitmask cuts, or by
+trying every translation matrix at tiny ranks and dimensions.
+
+The circuits of each degree over all nonzero characters live here too: the
+library only enumerates circuits inside a support (circuits_within), and
+the tests check that enumerator against these complete lists.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from flatiso.bieberbach import BieberbachGroup, derive_element_translations, is_torsion_free
-from flatiso.chargroup import (MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank, display_order,
-                               evaluate)
+from flatiso.chargroup import (MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank,
+                               circuits_within, display_order, evaluate)
 from flatiso.diagrep import DiagonalRep, coordinate_characters
 from flatiso.errors import CapabilityError
 
@@ -118,6 +124,47 @@ def sunada_from_columns(char_indices, half_rows, k):
                         t += 1
             counts[(s, t)] += 1
     return dict(counts)
+
+
+# -- circuits of the character group ----------------------------------------
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """Minimal dependent set of nonzero characters.
+
+    ``members`` is a strictly increasing tuple of masks whose XOR vanishes
+    with no proper nonempty sub-XOR vanishing.  Degree 2 is the boundary
+    case {I, I}: it is stored as the single mask with ``doubled`` set.
+    """
+
+    members: tuple[int, ...]
+    degree: int
+    doubled: bool = False
+
+    def __post_init__(self):
+        if self.doubled:
+            assert self.degree == 2 and len(self.members) == 1
+        else:
+            assert self.degree == len(self.members)
+
+
+@lru_cache(maxsize=None)
+def circuits(k: int, p: int) -> tuple[Circuit, ...]:
+    """All degree-p circuits among the nonzero characters of Z_2^k, in
+    lexicographic order of their sorted member tuples.
+
+    Empty for p > k+1 (any p-1 of the members must be linearly independent).
+    """
+    check_rank(k)
+    if p < 2:
+        raise ValueError(f"circuit degree must be >= 2, got {p}")
+    if p > k + 1:
+        return ()
+    nonzero = tuple(range(1, 1 << k))
+    if p == 2:
+        return tuple(Circuit((m,), 2, doubled=True) for m in nonzero)
+    return tuple(Circuit(full, p) for full in circuits_within(nonzero, p))
 
 
 # -- automorphisms of the character group ----------------------------------
@@ -274,3 +321,15 @@ def find_translations_reference(rep: DiagonalRep, wide_search: bool = False, ord
     group = BieberbachGroup(k, chars, tuple(tuple(r) for r in rows))
     assert is_torsion_free(group).ok
     return group
+
+
+def torsion_free_translations_exist(rep: DiagonalRep) -> bool:
+    """Whether any choice of translation numerators in {0, 1}^(k x n) makes a
+    torsion-free group, by trying all 2^(kn) of them."""
+    k, n = rep.k, rep.n
+    chars = coordinate_characters(rep)
+    for bits in range(1 << (k * n)):
+        rows = tuple(tuple(bits >> (i * n + j) & 1 for j in range(n)) for i in range(k))
+        if is_torsion_free(BieberbachGroup(k, chars, rows)).ok:
+            return True
+    return False

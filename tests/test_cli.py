@@ -121,25 +121,17 @@ def test_find_translations_cli(tmp_path):
 
 def test_find_translations_cli_minus_identity(tmp_path):
     # k=1, 2 chi_1: the generator acts as -Id, which no search can mend
-    code, out, _ = invoke("find-translations", "--k", "1", "--rep", "2", "--wide-search",
+    code, out, _ = invoke("find-translations", "--k", "1", "--rep", "2",
                           "--out", str(tmp_path / "none.bgf"))
     assert code == 0
     assert out == (NONE_FOUND + ": some nonzero element acts as -Id, "
                    "so no Bieberbach group has this holonomy\n")
 
 
-def test_find_translations_cli_narrow_search(tmp_path):
-    # chi_1 + chi_2 + chi_12: no element acts as -Id, and the narrow search finds nothing
+def test_find_translations_cli_wide_search(tmp_path):
+    # chi_1 + chi_2 + chi_12: no element acts as -Id, and no assignment is torsion-free
     code, out, _ = invoke("find-translations", "--k", "3", "--rep", "1,1,0,1,0,0,0",
                           "--out", str(tmp_path / "none.bgf"))
-    assert code == 0
-    assert out == (NONE_FOUND + " in the narrow search (at most two half entries per "
-                   "generator per block); try --wide-search\n")
-
-
-def test_find_translations_cli_wide_search(tmp_path):
-    code, out, _ = invoke("find-translations", "--k", "3", "--rep", "1,1,0,1,0,0,0",
-                          "--wide-search", "--out", str(tmp_path / "none.bgf"))
     assert code == 0
     assert out == NONE_FOUND + "\n"
     assert not (tmp_path / "none.bgf").exists()
@@ -181,3 +173,17 @@ def test_error_paths_single_line():
 def test_exit_zero_means_no_diagnostics():
     code, out, err = invoke("analyze", "--k", "3", "--rep", "3,1,1,1,0,1,0")
     assert code == 0 and err == ""
+
+
+def test_workers_env_malformed(monkeypatch):
+    monkeypatch.setenv("FLATISO_WORKERS", "abc")
+    code, out, err = invoke("tables", "--id", "1")
+    assert code == 2 and not out
+    assert err == "error: argument --workers: invalid int value: 'abc'\n"
+
+
+def test_workers_env_not_positive(monkeypatch):
+    monkeypatch.setenv("FLATISO_WORKERS", "0")
+    code, out, err = invoke("enumerate", "--k", "3", "--n", "7")
+    assert code == 1 and not out
+    assert err == "error: workers must be >= 1\n"

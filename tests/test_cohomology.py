@@ -4,7 +4,7 @@ import goldens
 from conftest import random_rep
 from oracles import (automorphism_table, brute_betti, brute_block_matching, molien_betti,
                      primitive_count_p4_k3)
-from flatiso import bieberbach
+from flatiso import bieberbach, cohomology
 from flatiso.cohomology import (GradedSpan, betti_numbers, decomposition_check,
                                 format_monomial, invariant_basis, invariant_span,
                                 kahler_obstruction, lefschetz_multiplicities,
@@ -270,14 +270,15 @@ def test_lefschetz_operator_limits():
         lefschetz_operator_multiplicities(big)
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
     wide = DiagonalRep(3, (0, 20, 20, 0, 20, 0, 0, 0))
     with pytest.raises(CapabilityError):
         invariant_basis(wide, 30)
-    # override succeeds on a small degree
-    assert invariant_basis(wide, 0, budget=10) == [()]
+    # a small budget still lists degree 0
+    monkeypatch.setattr(cohomology, "ENUMERATION_BUDGET", 10)
+    assert invariant_basis(wide, 0) == [()]
     with pytest.raises(CapabilityError):
-        invariant_basis(wide, 2, budget=10)
+        invariant_basis(wide, 2)
 
 
 def test_coordinate_characters_orders():
