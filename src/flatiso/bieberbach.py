@@ -3,19 +3,22 @@
 A group is generated by k elements B_i L_{b_i}: B_i acts diagonally by signs
 (coordinate j is negated exactly when the character of coordinate j contains
 i) and the translation parts b_i lie in {0, 1/2}^n, stored by numerators in
-{0, 1}.  The translation of a product element B_I is the mod-1 sum of the
-generator translations, i.e. the coordinatewise XOR of the numerators.
+{0, 1}.  Each coordinate carries a tag, the mask of the generators with a
+half entry there; a product element B_I has one where chi_tag(I) = -1.
 
 Torsion-freeness is the condition that every nonidentity element carries a
-half translation somewhere in its fixed space.  The joint histogram of
-(fixed dimension, half-marked fixed coordinates) over the 2^k elements --
-the Sunada numbers c_{s,t} -- decides isospectrality on p-forms for all p:
-two diagonal-type groups are Sunada isospectral iff the histograms agree.
+half translation somewhere in its fixed space; a coordinate with character c
+and tag m does so for its kill mask, the I with chi_c(I) = 1, chi_m(I) = -1.
+The joint histogram of (fixed dimension, half-marked fixed coordinates) over
+the 2^k elements -- the Sunada numbers c_{s,t} -- depends only on the
+(character, tag) counts and decides isospectrality on p-forms for all p: two
+diagonal-type groups are Sunada isospectral iff the histograms agree.
 
 The module also provides the generic pair construction (a representation and
 its flip carrying matching translation recipes), fixed 24-dimensional and
 7-dimensional example families, a deterministic translation search for an
-arbitrary representation, and the BGF text format for group files.
+arbitrary representation (each group built by BieberbachGroup.from_tags),
+and the BGF text format for group files.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import flip as flip_mod
-from .chargroup import (check_mask, check_rank, display_order, evaluate, indices_from_mask,
-                        mask_from_indices)
-from .diagrep import DiagonalRep, coordinate_characters, fixed_dim
+from .chargroup import check_mask, check_rank, display_order, indices_from_mask
+from .diagrep import DiagonalRep, coordinate_characters
 
 HALF = "½"
 
@@ -86,21 +88,34 @@ class BieberbachGroup:
                 seen.append(c)
         return tuple(seen)
 
+    @cached_property
+    def tags(self) -> tuple[int, ...]:
+        """Per coordinate, the mask of the generators with a half entry there
+        (bit i set when b_{i+1} has 1/2)."""
+        return tuple(sum(b[j] << i for i, b in enumerate(self.gen_translations))
+                     for j in range(self.n))
+
     @classmethod
-    def from_rep(cls, rep: DiagonalRep, gen_translations, order=None) -> "BieberbachGroup":
-        chars = coordinate_characters(rep, order)
-        return cls(rep.k, chars, tuple(tuple(b) for b in gen_translations))
+    def from_tags(cls, rep: DiagonalRep, heads, order=None) -> "BieberbachGroup":
+        """The group on coordinate_characters(rep, order) in which block m
+        opens with the tags heads[m] and every other coordinate has tag 0."""
+        tags = []
+        for m in order if order is not None else display_order(rep.k):
+            head = heads.get(m, [])
+            if len(head) > rep.q[m] or any(tag >> rep.k for tag in head):
+                raise ValueError(f"head tags {head} do not fit the block of character {m}")
+            tags += [*head, *[0] * (rep.q[m] - len(head))]
+        rows = tuple(tuple(tag >> i & 1 for tag in tags) for i in range(rep.k))
+        return cls(rep.k, coordinate_characters(rep, order), rows)
 
 
-def derive_element_translations(group: BieberbachGroup) -> dict[int, tuple[int, ...]]:
-    """Numerators of b_I for every element mask I (mod-1 sums, i.e. XOR)."""
-    n = group.n
-    out = {0: (0,) * n}
-    for mask in range(1, 1 << group.k):
-        low = mask & -mask
-        prev = out[mask ^ low]
-        gen = group.gen_translations[low.bit_length() - 1]
-        out[mask] = tuple(a ^ b for a, b in zip(prev, gen))
+def _negated(k: int, m: int) -> int:
+    """Bitmask of the elements I with chi_m(I) = -1, one generator at a time:
+    the elements containing generator i+1 are those without it shifted by
+    2^i, and chi_m flips on them when m contains i+1."""
+    out = 0
+    for i in range(k):
+        out |= (out ^ ((1 << (1 << i)) - 1) if m >> i & 1 else out) << (1 << i)
     return out
 
 
@@ -110,30 +125,32 @@ class TorsionCheck(NamedTuple):
 
 
 def is_torsion_free(group: BieberbachGroup) -> TorsionCheck:
-    """Every nonidentity element must carry a half entry inside its fixed space."""
-    translations = derive_element_translations(group)
-    for mask in range(1, 1 << group.k):
-        b = translations[mask]
-        if not any(v and evaluate(c, mask) == 1 for c, v in zip(group.coord_chars, b)):
-            return TorsionCheck(False, mask)
+    """Every nonidentity element must carry a half entry inside its fixed
+    space; the witness is the least element that no coordinate's kill mask
+    covers."""
+    killed = 0
+    for c, tag in set(zip(group.coord_chars, group.tags)):
+        killed |= _negated(group.k, tag) & ~_negated(group.k, c)
+    uncovered = ((1 << (1 << group.k)) - 2) & ~killed
+    if uncovered:
+        return TorsionCheck(False, (uncovered & -uncovered).bit_length() - 1)
     return TorsionCheck(True, None)
 
 
 def sunada_table(group: BieberbachGroup) -> dict[tuple[int, int], int]:
-    """Joint histogram of (n_B, n_{B,1/2}) over all 2^k elements.
-
-    The identity contributes (n, 0); renderers may suppress that row, the
-    comparison never does.
-    """
-    translations = derive_element_translations(group)
+    """Joint histogram of (n_B, n_{B,1/2}) over all 2^k elements: for element
+    I, s counts the coordinates whose character fixes I and t those of them
+    whose tag negates I.  The identity contributes (n, 0); renderers may
+    suppress that row, the comparison never does."""
+    pairs = Counter(zip(group.coord_chars, group.tags)).items()
     counts: Counter[tuple[int, int]] = Counter()
     for mask in range(1 << group.k):
-        b = translations[mask]
         s = t = 0
-        for c, v in zip(group.coord_chars, b):
-            if evaluate(c, mask) == 1:
-                s += 1
-                t += v
+        for (c, tag), count in pairs:
+            if not (c & mask).bit_count() & 1:
+                s += count
+                if (tag & mask).bit_count() & 1:
+                    t += count
         counts[(s, t)] += 1
     return dict(counts)
 
@@ -161,40 +178,14 @@ def _main_block_order(k: int) -> tuple[int, ...]:
     """Block layout of the pair construction: chi_1, then the other
     characters containing 1 but not 2, then those containing 2 but not 1,
     then chi_3, then everything else (display order within each group).
-
-    This is the layout in which the construction's half entries sit at the
-    leading coordinate of the chi_2, chi_23 and chi_3 blocks and at the
-    first k-2 coordinates of the chi_1 block, and in which the printed
-    invariant tables of the 8-dimensional example come out verbatim.
-    """
+    In this layout the printed invariant tables of the 8-dimensional example
+    come out verbatim."""
     disp = display_order(k)
     first = [m for m in disp if m & 1 and not m & 2 and m != 1]
     second = [m for m in disp if m & 2 and not m & 1]
     head = [0, 1] + first + second + [4]
     rest = [m for m in disp if m not in head]
     return tuple(head + rest)
-
-
-def _block_starts(rep: DiagonalRep, order) -> dict[int, int]:
-    """1-based first coordinate of each character block (empty blocks too)."""
-    starts = {}
-    pos = 1
-    for m in order:
-        starts[m] = pos
-        pos += rep.q[m]
-    return starts
-
-
-def _main_translations(rep: DiagonalRep, order) -> tuple[tuple[int, ...], ...]:
-    k, n = rep.k, rep.n
-    starts = _block_starts(rep, order)
-    rows = [[0] * n for _ in range(k)]
-    rows[0][starts[2] - 1] = 1                       # b_1: head of the chi_2 block
-    rows[1][starts[6] - 1] = 1                       # b_2: heads of chi_23 ...
-    rows[1][starts[4] - 1] = 1                       # ... and chi_3
-    for m in range(3, k + 1):                        # b_m: inside the chi_1 block
-        rows[m - 1][starts[1] - 1 + (m - 3)] = 1
-    return tuple(tuple(r) for r in rows)
 
 
 def construct_main_pair(k: int, n: int) -> tuple[BieberbachGroup, BieberbachGroup]:
@@ -211,10 +202,11 @@ def construct_main_pair(k: int, n: int) -> tuple[BieberbachGroup, BieberbachGrou
     rho = _main_rep(k, n)
     outcome = flip_mod.apply_flip(rho, flip_mod.FlipSpec(1, 2))
     assert outcome.applicable and outcome.shift == 1
-    rho_prime = outcome.rep
+    # b_1 heads the chi_2 block, b_2 the chi_23 and chi_3 blocks, and b_m (m >= 3)
+    # sits on coordinate m-2 of the chi_1 block
+    heads = {2: [1], 6: [2], 4: [2], 1: [1 << (m - 1) for m in range(3, k + 1)]}
     order = _main_block_order(k)
-    gamma = BieberbachGroup.from_rep(rho, _main_translations(rho, order), order)
-    gamma_prime = BieberbachGroup.from_rep(rho_prime, _main_translations(rho_prime, order), order)
+    gamma, gamma_prime = (BieberbachGroup.from_tags(r, heads, order) for r in (rho, outcome.rep))
     for g in (gamma, gamma_prime):
         check = is_torsion_free(g)
         assert check.ok, f"construction lost torsion-freeness at element {check.witness}"
@@ -257,32 +249,12 @@ def construct_family24(j: int) -> BieberbachGroup:
     if not 1 <= j <= 8:
         raise ValueError("family index must be in 1..8")
     rep = DiagonalRep.from_display(3, FAMILY24_REPS[j - 1])
-    starts = _block_starts(rep, display_order(3))
-    chi1, chi2, chi3, chi12 = (mask_from_indices(ix, 3) for ix in ((1,), (2,), (3,), (1, 2)))
-    rows = [[0] * 24 for _ in range(3)]
-    rows[0][starts[chi3] - 1] = 1
-    rows[0][starts[chi12] - 1] = 1
-    rows[1][starts[chi3] - 1] = 1
-    rows[2][starts[chi1] - 1] = 1
-    rows[2][starts[chi2] - 1] = 1
-    group = BieberbachGroup.from_rep(rep, tuple(tuple(r) for r in rows))
+    group = BieberbachGroup.from_tags(rep, {4: [0b011], 3: [0b001], 1: [0b100], 2: [0b100]})
     assert is_torsion_free(group).ok
     return group
 
 
 # -- the 7-dimensional rank-4 pair -------------------------------------------
-
-def _group_from_columns(k, char_indices, half_rows):
-    """Fixture helper: coordinate characters by index sets and per-generator
-    half positions (1-based rows)."""
-    chars = tuple(mask_from_indices(ix, k) for ix in char_indices)
-    n = len(chars)
-    rows = [[0] * n for _ in range(k)]
-    for i, positions in enumerate(half_rows):
-        for p in positions:
-            rows[i][p - 1] = 1
-    return BieberbachGroup(k, chars, tuple(tuple(r) for r in rows))
-
 
 def construct_dim7_pair() -> tuple[BieberbachGroup, BieberbachGroup]:
     """The 7-dimensional pair with holonomy Z_2^4: holonomies
@@ -298,11 +270,15 @@ def construct_dim7_pair() -> tuple[BieberbachGroup, BieberbachGroup]:
     is the ground truth used here, with c_{3,2} = 1 in place of the
     duplicated c_{3,1} = 1.)
     """
-    half_rows = [(3, 5), (4, 5), (1, 5), (6,)]
-    gamma = _group_from_columns(
-        4, ((1,), (1,), (2,), (3,), (4,), (2, 3), (2, 4)), half_rows)
-    gamma_prime = _group_from_columns(
-        4, ((1,), (1,), (2,), (3,), (4,), (1, 2), (2, 3, 4)), half_rows)
+    # rows 1, 3, 4 and 5 head the chi_1, chi_2, chi_3 and chi_4 blocks; row 6
+    # heads chi_23 in Gamma and chi_12 in Gamma'
+    heads = {1: [0b0100], 2: [0b0001], 4: [0b0010], 8: [0b0111]}
+    gamma = BieberbachGroup.from_tags(
+        DiagonalRep.from_display(4, (2, 1, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0)),
+        {**heads, 6: [0b1000]})
+    gamma_prime = BieberbachGroup.from_tags(
+        DiagonalRep.from_display(4, (2, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+        {**heads, 3: [0b1000]})
     for g in (gamma, gamma_prime):
         assert is_torsion_free(g).ok
     return gamma, gamma_prime
@@ -315,7 +291,7 @@ def _negations(k: int):
     """Per character m, the bitmask of the elements I with chi_m(I) = -1; per
     element I, the nonzero characters negating it, ascending."""
     size = 1 << k
-    negs = tuple(sum(1 << e for e in range(size) if evaluate(m, e) == -1) for m in range(size))
+    negs = tuple(_negated(k, m) for m in range(size))
     return negs, tuple(tuple(m for m in range(1, size) if negs[m] >> e & 1) for e in range(size))
 
 
@@ -325,16 +301,13 @@ def find_translations(rep: DiagonalRep):
     assignment of half entries over the block capacities gives a
     torsion-free group.
 
-    Each coordinate of a block carries a "tag" in {0..2^k-1}: bit i-1 set
-    means generator i has a half entry there.  Element I is torsion-killed
-    by a coordinate in block J with tag m iff chi_J(I) = +1 and chi_m(I) = -1,
-    i.e. the coordinate kills the element bitmask fixes[J] & negs[m].  The
-    search carries the mask of killed elements and branches on the lowest
-    unkilled nonzero element over the fresh coordinates that kill it, in
-    (block order, ascending tag) order, respecting block capacities.  That
-    is the depth-first order of the element-by-element search that skips
-    killed elements, so the first solution is the same.  Blocks are laid out
-    in display order.
+    A coordinate in block J with tag m kills fixes[J] & negs[m].  The search
+    carries the mask of killed elements and branches on the lowest unkilled
+    nonzero element over the fresh coordinates that kill it, in (block order,
+    ascending tag) order, respecting block capacities.  That is the
+    depth-first order of the element-by-element search that skips killed
+    elements, so the first solution is the same.  The tags placed in each
+    block open it, and blocks are laid out in display order.
 
     Two cuts drop only subtrees without a solution, so that order stays.
     Forward check (the column test of Knuth's Algorithm X, without its
@@ -349,8 +322,7 @@ def find_translations(rep: DiagonalRep):
     size = 1 << k
     if all(v == 0 for m, v in enumerate(rep.q) if m):
         raise ValueError("trivial holonomy: no generators to solve for")
-    layout = display_order(k)
-    blocks = [m for m in layout if rep.q[m] > 0]
+    blocks = [m for m in display_order(k) if rep.q[m] > 0]
     negs, tags_killing = _negations(k)
     fixes = {m: negs[m] ^ ((1 << size) - 1) for m in blocks}
     most = size >> 1 if 0 in fixes else size >> 2
@@ -382,15 +354,7 @@ def find_translations(rep: DiagonalRep):
     if not solve(0):
         return None
 
-    rows = [[0] * rep.n for _ in range(k)]
-    starts = _block_starts(rep, layout)
-    for block in blocks:
-        for slot, tag in enumerate(placed[block]):
-            j = starts[block] - 1 + slot
-            for i in range(k):
-                if tag >> i & 1:
-                    rows[i][j] = 1
-    group = BieberbachGroup(k, coordinate_characters(rep), tuple(tuple(r) for r in rows))
+    group = BieberbachGroup.from_tags(rep, placed)
     assert is_torsion_free(group).ok
     return group
 
@@ -500,7 +464,3 @@ def sunada_table_text(table: dict[tuple[int, int], int], n: int,
         items.append(f"c[{s},{t}] = {m}")
     return "\n".join(items)
 
-
-def fixed_dims(group: BieberbachGroup) -> dict[int, int]:
-    """n_B for every element mask."""
-    return {mask: fixed_dim(group.rep, mask) for mask in range(1 << group.k)}

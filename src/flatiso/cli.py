@@ -139,14 +139,14 @@ def _cmd_verify(args) -> str:
         return "\n".join(lines)
     iso = bieberbach.is_sunada_isospectral(ga, gb)
     lines.append(f"Sunada isospectral: {iso}")
-    lines.append(_ring_verdict(ga.rep, gb.rep))
+    lines.append(_ring_verdict(cohomology.primitive_counts(ga.rep),
+                               cohomology.primitive_counts(gb.rep)))
     return "\n".join(lines)
 
 
-def _ring_verdict(a: DiagonalRep, b: DiagonalRep) -> str:
-    """Compare by ΣP, the sum of all P_p including P_0 = 1 (the minimal generator count)."""
-    pa, pb = cohomology.primitive_counts(a), cohomology.primitive_counts(b)
-    sa, sb = cohomology.minimal_generator_count(a), cohomology.minimal_generator_count(b)
+def _ring_verdict(pa, pb) -> str:
+    """Compare P-counts by ΣP, the sum of all P_p including P_0 = 1, then per degree."""
+    sa, sb = sum(pa), sum(pb)
     if sa != sb:
         return f"rings: not isomorphic (ΣP differs: {sa} vs {sb})"
     if pa != pb:
@@ -173,7 +173,7 @@ def _cmd_compare_rings(args) -> str:
     ]
     for p in range(a.n + 1):
         lines.append(f"{p:<5} {pa[p]:<5} {pb[p]:<5} {ba[p]:<6} {bb[p]:<6}")
-    lines.append(_ring_verdict(a, b))
+    lines.append(_ring_verdict(pa, pb))
     return "\n".join(lines)
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -131,8 +132,10 @@ def _children(k: int, parents) -> list[tuple[int, ...]]:
 def class_levels(k: int, n_max: int, workers: int = 1):
     """Yield (n, classes) for n = 1..n_max: every relabeling class of
     multiplicity vectors with q_0 = 0 and dimension n, unfiltered, each as
-    its display representative (a q tuple in numeric character order)."""
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    its display representative (a q tuple in numeric character order).
+    Each level is cut into `workers` slices, run by at most one process per CPU."""
+    processes = min(workers, os.cpu_count() or 1)
+    with ProcessPoolExecutor(processes) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         level = [(0,) * (1 << k)]
         for n in range(1, n_max + 1):

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from flatiso.bieberbach import BieberbachGroup, derive_element_translations, is_torsion_free
+from flatiso.bieberbach import BieberbachGroup, is_torsion_free
 from flatiso.chargroup import (MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank,
                                circuits_within, display_order, evaluate)
 from flatiso.diagrep import DiagonalRep, coordinate_characters
@@ -69,6 +69,18 @@ def primitive_count_p4_k3(rep):
             + q2 * q3 * q12 * q13
             + q2 * q12 * q23 * q123
             + q3 * q13 * q23 * q123)
+
+
+def derive_element_translations(group: BieberbachGroup) -> dict[int, tuple[int, ...]]:
+    """Numerators of b_I for every element mask I (mod-1 sums, i.e. XOR)."""
+    n = group.n
+    out = {0: (0,) * n}
+    for mask in range(1, 1 << group.k):
+        low = mask & -mask
+        prev = out[mask ^ low]
+        gen = group.gen_translations[low.bit_length() - 1]
+        out[mask] = tuple(a ^ b for a, b in zip(prev, gen))
+    return out
 
 
 def element_translation(group, mask):

@@ -5,18 +5,19 @@ import time
 from functools import partial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 import goldens
 from conftest import diagonal_reps, random_rep
-from oracles import (element_translation, find_translations_reference, half_fixed_count,
+from oracles import (derive_element_translations, element_translation,
+                     find_translations_reference, half_fixed_count, sunada_from_columns,
                      torsion_free_translations_exist)
 from flatiso import bieberbach
 from flatiso.bieberbach import (BieberbachGroup, column_notation, construct_dim7_pair,
-                                construct_family24, construct_main_pair,
-                                derive_element_translations, find_translations,
+                                construct_family24, construct_main_pair, find_translations,
                                 is_sunada_isospectral, is_torsion_free, read_bgf,
                                 sunada_table, sunada_table_text)
+from flatiso.chargroup import display_order, indices_from_mask
 from flatiso.cohomology import kahler_obstruction, primitive_counts
 from flatiso.diagrep import (DiagonalRep, contains_minus_identity, fixed_dim, kahler_class,
                              pattern)
@@ -93,6 +94,46 @@ def test_dim7_sunada_tables():
     assert is_sunada_isospectral(ga, gb)
 
 
+@st.composite
+def groups(draw, max_k=4, max_n=10):
+    """Random characters in any coordinate order and sparse random numerators."""
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(1, max_n))
+    chars = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n))
+    halves = draw(st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, n - 1)), max_size=2 * k))
+    rows = tuple(tuple(int((i, j) in halves) for j in range(n)) for i in range(k))
+    return BieberbachGroup(k, tuple(chars), rows)
+
+
+def _heads(group):
+    """Per block, the tags of its coordinates in order, without trailing zeros."""
+    heads = {}
+    for c, tag in zip(group.coord_chars, group.tags):
+        heads.setdefault(c, []).append(tag)
+    for head in heads.values():
+        while head and not head[-1]:
+            head.pop()
+    return heads
+
+
+@given(groups())
+@settings(max_examples=300)
+def test_tag_pairs_match_xor_reference(g):
+    # the Sunada table and torsion check read off (character, tag) pairs, against
+    # element translations built by XOR and index-set arithmetic
+    halves = [[j + 1 for j in range(g.n) if b[j]] for b in g.gen_translations]
+    assert sunada_table(g) == sunada_from_columns(
+        [indices_from_mask(c) for c in g.coord_chars], halves, g.k)
+    uncovered = [m for m in range(1, 1 << g.k) if half_fixed_count(g, m) == 0]
+    assert is_torsion_free(g) == (not uncovered, min(uncovered, default=None))
+    # from_tags lays the same blocks out in display order, opening with these tags
+    heads = _heads(g)
+    built = BieberbachGroup.from_tags(g.rep, heads)
+    assert _heads(built) == heads and built.rep == g.rep
+    assert built.coord_chars == tuple(sorted(g.coord_chars, key=display_order(g.k).index))
+    assert sunada_table(built) == sunada_table(g)
+
+
 def test_family24_sunada_tables():
     tables = [sunada_table(construct_family24(j)) for j in range(1, 9)]
     expected = dict(goldens.FAMILY24_SUNADA_NONID)
@@ -105,7 +146,7 @@ def test_family24_fixed_dims_and_pattern():
     patterns = set()
     for j in range(1, 9):
         g = construct_family24(j)
-        dims = bieberbach.fixed_dims(g)
+        dims = {m: fixed_dim(g.rep, m) for m in range(8)}
         row = tuple(dims[m] for m in (1, 2, 4, 3, 5, 6, 7))
         assert row == goldens.FAMILY24_FIXED_DIMS[j]
         assert sorted(row) == [4, 6, 8, 10, 12, 14, 18]
@@ -389,6 +430,11 @@ def test_group_validation():
         BieberbachGroup(2, (1, 2), ((0, 0),))          # missing generator row
     with pytest.raises(ValueError):
         BieberbachGroup(2, (1, 2), ((0, 2), (0, 0)))   # bad numerator
+    rep = DiagonalRep(2, (0, 1, 1, 0))
+    with pytest.raises(ValueError):
+        BieberbachGroup.from_tags(rep, {1: [1, 2]})    # two head tags for one coordinate
+    with pytest.raises(ValueError):
+        BieberbachGroup.from_tags(rep, {2: [4]})       # not a 2-bit tag
 
 
 def test_kahler_split_of_main_pair():

@@ -159,6 +159,34 @@ def test_worker_counts_do_not_change_output():
         assert families_to_json(cfg1, f1) == families_to_json(cfgw, fw)
 
 
+def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
+    # a fake pool records its size and maps in this process, so no process is forked
+    sizes, slice_counts = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            slice_counts.append(len(iterables[-1]))
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    expected = enumerate_families(SearchConfig(k=3, n=9))
+    for cpus, size in ((2, 2), (None, 1)):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        assert enumerate_families(SearchConfig(k=3, n=9, workers=5000)) == expected
+        assert sizes.pop() == size and not sizes
+    # levels are still cut into up to `workers` slices, not one per process
+    assert max(slice_counts) > 2
+
+
 def test_json_round_trip():
     cfg = SearchConfig(k=3, n=9)
     fams = enumerate_families(cfg)
