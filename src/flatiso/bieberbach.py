@@ -32,6 +32,7 @@ from typing import NamedTuple
 from . import flip as flip_mod
 from .chargroup import check_mask, check_rank, display_order, indices_from_mask
 from .diagrep import DiagonalRep, coordinate_characters
+from .errors import CapabilityError
 
 HALF = "½"
 
@@ -286,6 +287,9 @@ def construct_dim7_pair() -> tuple[BieberbachGroup, BieberbachGroup]:
 
 # -- translation search -------------------------------------------------------
 
+# _negations(k) holds 2^k masks of 2^k bits: 88 MiB at k = 11, 4x per rank
+MAX_TRANSLATION_RANK = 10
+
 @lru_cache(maxsize=None)
 def _negations(k: int):
     """Per character m, the bitmask of the elements I with chi_m(I) = -1; per
@@ -299,7 +303,8 @@ def find_translations(rep: DiagonalRep):
     """Deterministic backtracking search for translation vectors making the
     representation the holonomy of a Bieberbach group; None when no
     assignment of half entries over the block capacities gives a
-    torsion-free group.
+    torsion-free group.  Ranks above MAX_TRANSLATION_RANK raise
+    CapabilityError before any table is built.
 
     A coordinate in block J with tag m kills fixes[J] & negs[m].  The search
     carries the mask of killed elements and branches on the lowest unkilled
@@ -320,6 +325,8 @@ def find_translations(rep: DiagonalRep):
     """
     k = rep.k
     size = 1 << k
+    if k > MAX_TRANSLATION_RANK:
+        raise CapabilityError(f"translation search is limited to k <= {MAX_TRANSLATION_RANK}")
     if all(v == 0 for m, v in enumerate(rep.q) if m):
         raise ValueError("trivial holonomy: no generators to solve for")
     blocks = [m for m in display_order(k) if rep.q[m] > 0]

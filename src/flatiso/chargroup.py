@@ -10,7 +10,8 @@ the same way, so a single mask type serves both sides of the pairing
 Products of characters are symmetric differences, i.e. XOR.  The trivial
 character is mask 0.
 
-The module also enumerates, inside a given set of nonzero characters, the
+The module also computes the Walsh-Hadamard transform of a function on
+the masks, and enumerates, inside a given set of nonzero characters, the
 minimal dependent sets ("circuits"): sets whose product is trivial while
 no proper nonempty subproduct is.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterable, Iterator
 
 
@@ -46,6 +48,22 @@ def product(chis: Iterable[int]) -> int:
     out = 0
     for c in chis:
         out ^= c
+    return out
+
+
+def walsh(values) -> list[int]:
+    """Walsh-Hadamard transform: entry f is sum_m values[m] * chi_m(f), for
+    a sequence of 2^k integers indexed by mask.
+
+    k butterfly passes of O(2^k) each.  Every pass pairs the entries 2j and
+    2j+1 and writes their sum to j and their difference to j + 2^(k-1), so
+    the bit it combines moves to the top; after k passes every bit is back
+    in place (the constant-geometry form of the fast transform).
+    """
+    out = list(values)
+    for _ in range(len(out).bit_length() - 1):
+        even, odd = out[0::2], out[1::2]
+        out = [*map(add, even, odd), *map(sub, even, odd)]
     return out
 
 

@@ -65,19 +65,21 @@ def _cmd_enumerate(args) -> str:
 def _cmd_analyze(args) -> str:
     rep = _parse_rep(args)
     lines = [f"rep: [{diagrep.format_rep(rep)}]  (k={rep.k}, n={rep.n}, q0={rep.q[0]})"]
+    fixed = diagrep.fixed_dims(rep)
     dims = []
     for mask in display_order(rep.k):
         label = "".join(str(i) for i in indices_from_mask(mask)) or "0"
-        dims.append(f"n_B{label}={diagrep.fixed_dim(rep, mask)}")
+        dims.append(f"n_B{label}={fixed[mask]}")
     lines.append("fixed dims: " + " ".join(dims))
     lines.append("pattern: " + ",".join(str(c) for c in diagrep.pattern(rep)))
     lines.append("betti: " + ",".join(str(b) for b in cohomology.betti_numbers(rep)))
-    lines.append("prim: " + ",".join(str(p) for p in cohomology.primitive_counts(rep)))
+    prim = cohomology.primitive_counts(rep)
+    lines.append("prim: " + ",".join(str(p) for p in prim))
     lines.append(f"faithful: {diagrep.is_faithful(rep)}")
     lines.append(f"contains -Id: {diagrep.contains_minus_identity(rep)}")
     lines.append(f"orientable: {diagrep.is_orientable(rep)}")
     lines.append(f"kahler class: {diagrep.kahler_class(rep)}")
-    lines.append(f"minimal generators: {cohomology.minimal_generator_count(rep)}")
+    lines.append(f"minimal generators: {sum(prim)}")
     return "\n".join(lines)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import chargroup
-from .chargroup import check_rank, display_order, evaluate
+from .chargroup import check_rank, display_order
 from .errors import CapabilityError
 
 KAHLER_NONE = "none"
@@ -114,18 +114,25 @@ def coordinate_characters(rep: DiagonalRep, order=None) -> tuple[int, ...]:
     return tuple(out)
 
 
+def fixed_dims(rep: DiagonalRep) -> tuple[int, ...]:
+    """Dimension of the fixed space of rho(f) for every element f: the sum of
+    q_J over chi_J(f) = +1, that is (n + sum_J q_J chi_J(f)) / 2, read off
+    one Walsh-Hadamard transform of q."""
+    n = rep.n
+    return tuple((n + w) >> 1 for w in chargroup.walsh(rep.q))
+
+
 def fixed_dim(rep: DiagonalRep, f: int) -> int:
     """Dimension of the fixed space of rho(f): sum of q_J over chi_J(f) = +1."""
     chargroup.check_mask(f, rep.k)
-    return sum(v for m, v in enumerate(rep.q) if v and evaluate(m, f) == 1)
+    return fixed_dims(rep)[f]
 
 
 def pattern(rep: DiagonalRep) -> tuple[int, ...]:
     """Histogram (c_0, .., c_n) of fixed-space dimensions over all 2^k elements."""
-    n = rep.n
-    counts = [0] * (n + 1)
-    for f in range(1 << rep.k):
-        counts[fixed_dim(rep, f)] += 1
+    counts = [0] * (rep.n + 1)
+    for d in fixed_dims(rep):
+        counts[d] += 1
     return tuple(counts)
 
 
@@ -136,7 +143,7 @@ def is_faithful(rep: DiagonalRep) -> bool:
 
 def contains_minus_identity(rep: DiagonalRep) -> bool:
     """True iff some nonzero element acts as -Id, i.e. fixes nothing."""
-    return any(fixed_dim(rep, f) == 0 for f in range(1, 1 << rep.k))
+    return 0 in fixed_dims(rep)[1:]
 
 
 def is_orientable(rep: DiagonalRep) -> bool:

@@ -1,12 +1,15 @@
 """Independent reference implementations used only to cross-check results.
 
 These deliberately avoid the library's computation paths: Betti numbers by
-walking all 2^n coordinate subsets or by Molien's formula over the pattern,
-the Kaehler pairing test by exhaustive matching, Sunada tables straight from
-column data with index-set arithmetic, character relabelings by listing
-every automorphism of Z_2^k, and the translation search as the plain
-element-by-element backtracking, without the library's bitmask cuts, or by
-trying every translation matrix at tiny ranks and dimensions.
+walking all 2^n coordinate subsets, by the dynamic program over character
+blocks or by Molien's formula over the pattern (the formula the library
+uses, so it is no independent check of it), primitive counts as sums over
+the circuits inside the support at every degree, the Kaehler pairing test by
+exhaustive matching, Sunada tables straight from column data with index-set
+arithmetic, character relabelings by listing every automorphism of Z_2^k,
+and the translation search as the plain element-by-element backtracking,
+without the library's bitmask cuts, or by trying every translation matrix
+at tiny ranks and dimensions.
 
 The circuits of each degree over all nonzero characters live here too: the
 library only enumerates circuits inside a support (circuits_within), and
@@ -15,6 +18,7 @@ the tests check that enumerator against these complete lists.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, prod
 from typing import Iterator
 
 import numpy as np
@@ -41,11 +45,53 @@ def brute_betti(rep):
     return tuple(counts)
 
 
+def block_dp_betti(rep):
+    """Invariant-monomial counts by a dynamic program over the 2^k character
+    blocks with state (accumulated character, degree); choosing j of the q_I
+    coordinates in block I multiplies by binomial(q_I, j) and twists the
+    character by I^j."""
+    n = rep.n
+    size = 1 << rep.k
+    dp = [[0] * (n + 1) for _ in range(size)]
+    dp[0][0] = 1
+    for block, qi in enumerate(rep.q):
+        if qi == 0:
+            continue
+        binom = [comb(qi, j) for j in range(qi + 1)]
+        new = [[0] * (n + 1) for _ in range(size)]
+        for c in range(size):
+            row = dp[c]
+            for d in range(n + 1):
+                v = row[d]
+                if not v:
+                    continue
+                for j in range(min(qi, n - d) + 1):
+                    tc = c ^ block if j & 1 else c
+                    new[tc][d + j] += v * binom[j]
+        dp = new
+    return tuple(dp[0])
+
+
+def circuit_sum_primitive_counts(rep):
+    """(P_0, .., P_n) with P_p for p >= 3 the sum over the degree-p circuits
+    inside the support of the products of the member multiplicities."""
+    n = rep.n
+    support = tuple(m for m in range(1, 1 << rep.k) if rep.q[m])
+    out = [0] * (n + 1)
+    out[0] = 1
+    if n >= 1:
+        out[1] = rep.q[0]
+    if n >= 2:
+        out[2] = sum(comb(rep.q[m], 2) for m in support)
+    for p in range(3, min(rep.k + 1, n) + 1):
+        out[p] = sum(prod(rep.q[m] for m in c) for c in circuits_within(support, p))
+    return tuple(out)
+
+
 def molien_betti(patt, k):
     """Betti numbers from the pattern alone, by Molien's formula:
     beta_p = 2^-k sum_f [t^p] (1+t)^{n_f} (1-t)^{n-n_f}, where pattern entry
     c_s counts the elements f with n_f = s."""
-    from math import comb
     n = len(patt) - 1
     out = []
     for p in range(n + 1):

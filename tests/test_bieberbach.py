@@ -21,6 +21,7 @@ from flatiso.chargroup import display_order, indices_from_mask
 from flatiso.cohomology import kahler_obstruction, primitive_counts
 from flatiso.diagrep import (DiagonalRep, contains_minus_identity, fixed_dim, kahler_class,
                              pattern)
+from flatiso.errors import CapabilityError
 
 
 def test_element_translations_are_mod1_sums():
@@ -253,6 +254,16 @@ def test_find_translations():
     assert find_translations(DiagonalRep(1, (0, 2))) is None
     with pytest.raises(ValueError):
         find_translations(DiagonalRep(2, (4, 0, 0, 0)))
+
+
+def test_find_translations_rank_cap_raises_before_tables():
+    before = bieberbach._negations.cache_info()
+    q = [0] * (1 << 12)
+    for i in range(12):
+        q[1 << i] = 1
+    with pytest.raises(CapabilityError, match="k <= 10"):
+        find_translations(DiagonalRep(12, tuple(q)))
+    assert bieberbach._negations.cache_info() == before
 
 
 def test_find_translations_deterministic():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatiso import chargroup
-from flatiso.chargroup import circuits_within, evaluate, f2_rank, mask_from_indices, product
+from flatiso.chargroup import (circuits_within, evaluate, f2_rank, mask_from_indices, product,
+                               walsh)
 from flatiso.errors import CapabilityError
 from oracles import automorphism_count, automorphism_table, automorphisms, circuits
 
@@ -34,6 +35,14 @@ def test_evaluate_is_multiplicative(k, data):
     b = data.draw(st.integers(0, top))
     f = data.draw(st.integers(0, top))
     assert evaluate(product([a, b]), f) == evaluate(a, f) * evaluate(b, f)
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda k: st.lists(st.integers(-50, 50), min_size=1 << k, max_size=1 << k)))
+def test_walsh_is_character_sum(values):
+    size = len(values)
+    assert walsh(values) == [sum(v * evaluate(m, f) for m, v in enumerate(values))
+                             for f in range(size)]
 
 
 def test_circuit_counts_k3():

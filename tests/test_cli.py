@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import math
+import time
 
 import pytest
 
@@ -63,6 +65,22 @@ def test_analyze():
     assert "betti: 1,0,4,8,6,8,4,0,1" in out
     assert "kahler class: kahler" in out
     assert "minimal generators: 13" in out
+
+
+def test_analyze_large_rank_singletons():
+    # one Walsh-Hadamard transform per invariant, not one character sum per element
+    k = 14
+    start = time.perf_counter()
+    code, out, err = invoke("analyze", "--k", str(k), "--rep",
+                            ",".join(["1"] * k + ["0"] * ((1 << k) - 1 - k)))
+    assert time.perf_counter() - start < 10
+    assert code == 0 and not err
+    lines = out.splitlines()
+    # f fixes the k - |f| singletons outside it, so c_s = binomial(k, s)
+    assert lines[2] == "pattern: " + ",".join(str(math.comb(k, s)) for s in range(k + 1))
+    assert lines[3] == "betti: 1" + ",0" * k
+    assert lines[4] == "prim: 1" + ",0" * k
+    assert "minimal generators: 1" in lines
 
 
 def test_flip_applicable():

@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import goldens
 from conftest import random_rep
-from oracles import (automorphism_table, brute_betti, brute_block_matching, molien_betti,
-                     primitive_count_p4_k3)
+from oracles import (automorphism_table, block_dp_betti, brute_betti, brute_block_matching,
+                     circuit_sum_primitive_counts, molien_betti, primitive_count_p4_k3)
 from flatiso import bieberbach, cohomology
 from flatiso.cohomology import (GradedSpan, betti_numbers, decomposition_check,
                                 format_monomial, invariant_basis, invariant_span,
@@ -52,6 +53,59 @@ def test_betti_is_molien_sum_over_pattern(rng):
         assert betti == molien_betti(pattern(rep), rep.k)
         if rep.n <= 10:
             assert betti == brute_betti(rep)
+
+
+@st.composite
+def supported_reps(draw, max_k=5, max_n=29):
+    """Dense (every nonzero mask may be drawn) or sparse (a few drawn masks)
+    supports, sometimes with a trivial block."""
+    k = draw(st.integers(1, max_k))
+    size = 1 << k
+    masks = range(1, size)
+    if draw(st.booleans()):
+        masks = draw(st.lists(st.sampled_from(masks), min_size=1, max_size=8, unique=True))
+    q = [0] * size
+    q[0] = draw(st.sampled_from((0, 0, 1, 3)))
+    for _ in range(draw(st.integers(1, max_n - q[0]))):
+        q[draw(st.sampled_from(masks))] += 1
+    return DiagonalRep(k, tuple(q))
+
+
+@given(supported_reps())
+@settings(max_examples=200)
+def test_betti_matches_block_dp(rep):
+    betti = betti_numbers(rep)
+    assert betti == block_dp_betti(rep)
+    if rep.n <= 12:
+        assert betti == brute_betti(rep)
+
+
+@given(supported_reps())
+@settings(max_examples=200)
+def test_primitive_counts_match_circuit_sums(rep):
+    assert primitive_counts(rep) == circuit_sum_primitive_counts(rep)
+
+
+def test_primitive_counts_k6_degree7_circuit_sum():
+    # P_7 keeps the circuits_within sum; the six singletons and their product
+    # form a 7-circuit, and the lines among the other masks feed the N_6 term
+    q = [0] * 64
+    for m, v in ((1, 2), (2, 1), (4, 3), (8, 1), (16, 2), (32, 1), (63, 2),
+                 (3, 1), (5, 2), (6, 1), (12, 1), (48, 2), (60, 1), (15, 1)):
+        q[m] = v
+    rep = DiagonalRep(6, tuple(q))
+    p = primitive_counts(rep)
+    assert p[7] > 0 and p[6] > 0
+    assert p == circuit_sum_primitive_counts(rep)
+
+
+def test_primitive_counts_full_support_pins():
+    # all-ones on every nonzero character: circuits of PG(k-1, 2) by degree
+    p4 = primitive_counts(DiagonalRep(4, (0,) + (1,) * 15))
+    assert p4[3:6] == (35, 105, 168) and not any(p4[6:])
+    # Z_6 = 22,568 counts the 8,680 disjoint line pairs on top of the 6-circuits
+    p5 = primitive_counts(DiagonalRep(5, (0,) + (1,) * 31))
+    assert p5[3:7] == (155, 1085, 5208, 13888) and not any(p5[7:])
 
 
 def test_primitive_count_examples():

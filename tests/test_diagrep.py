@@ -10,7 +10,7 @@ from oracles import _mask_images, automorphism_table, automorphisms
 from flatiso import chargroup, diagrep
 from flatiso.diagrep import (DiagonalRep, are_equivalent, canonical_form,
                              contains_minus_identity, display_representative,
-                             fixed_dim, format_rep, is_display_representative,
+                             fixed_dim, fixed_dims, format_rep, is_display_representative,
                              is_faithful, is_orientable, kahler_class, parse_rep,
                              pattern)
 from flatiso.errors import CapabilityError
@@ -124,6 +124,13 @@ def test_rep_validation():
         DiagonalRep(3, (0, -1, 2, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         DiagonalRep(3, (0,) * 8)  # dimension zero
+
+
+@given(diagonal_reps(max_k=5, max_n=20))
+def test_fixed_dims_are_fixed_character_sums(rep):
+    assert fixed_dims(rep) == tuple(
+        sum(v for m, v in enumerate(rep.q) if chargroup.evaluate(m, f) == 1)
+        for f in range(1 << rep.k))
 
 
 @given(diagonal_reps())
