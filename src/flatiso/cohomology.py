@@ -82,7 +82,9 @@ def primitive_counts(rep: DiagonalRep) -> tuple[int, ...]:
     p = 6, Z_6 also counts each disjoint union of two supported 3-circuits
     once (_line_pairs).  Degrees >= 7 occur only for k >= 6, where such a
     set can split in more than one way (3 + 4 in two), so they stay sums
-    over circuits_within.
+    over circuits_within, which walks C(s, p-1) heads for a support of s
+    characters; past ENUMERATION_BUDGET heads in all it raises
+    CapabilityError before the walk.
     """
     n, q = rep.n, rep.q
     support = tuple(m for m in range(1, 1 << rep.k) if q[m] > 0)
@@ -97,6 +99,10 @@ def primitive_counts(rep: DiagonalRep) -> tuple[int, ...]:
         out[3:min(top, 6) + 1] = _zero_sum_weights(q, min(top, 6))
     if top >= 6:
         out[6] -= _line_pairs(q, support)
+    heads = sum(comb(len(support), p - 1) for p in range(7, top + 1))
+    if heads > ENUMERATION_BUDGET:
+        raise CapabilityError(f"primitive counts of degree >= 7 walk {heads} circuit heads "
+                              f"over {len(support)} characters (> budget {ENUMERATION_BUDGET})")
     for p in range(7, top + 1):
         out[p] = sum(prod(q[m] for m in c) for c in circuits_within(support, p))
     return tuple(out)

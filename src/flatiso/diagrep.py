@@ -174,7 +174,10 @@ def kahler_class(rep: DiagonalRep) -> str:
 # comes first in a reading order, without visiting the orbit.  A relabelling
 # is an ordered basis c_0..c_{k-1} (c_j = img(2^j)) and maps q to q[img].
 # The search fixes the columns one at a time and prunes on what is known
-# (Linton, "Finding the smallest image of a set", ISSAC 2004).
+# (Linton, "Finding the smallest image of a set", ISSAC 2004).  It yields
+# each leaf that improves on the ones before it; is_display_representative
+# stops at the second such leaf, or at a first one that is not the identity,
+# since either reads q larger.
 
 @lru_cache(maxsize=None)
 def _reading(k: int, display: bool) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -211,9 +214,10 @@ def _orbit_labels(size: int, gens) -> list[int]:
     return root
 
 
-def _least_image(k: int, w, keys, offsets) -> list[int]:
-    """The automorphism img (img[m] for every mask m) whose key
-    [w[img[m]] for m in keys] is lexicographically least.
+def _least_image(k: int, w, keys, offsets):
+    """Yield, in search order, every automorphism img (img[m] for every mask
+    m) whose key [w[img[m]] for m in keys] is lexicographically less than the
+    keys of all leaves before it.  The last one yielded reads the least key.
 
     Level j picks the column c_j outside the span of c_0..c_{j-1}; the masks
     below 2^(j+1) are then known.  Of the columns, only those with the least
@@ -224,13 +228,18 @@ def _least_image(k: int, w, keys, offsets) -> list[int]:
     the later subtree at the level they part is abandoned, and a column in
     one orbit with an explored one, under the automorphisms found that fix
     the columns above it, is skipped.
+
+    Columns are tried in ascending order, and the identity's column 2^j is
+    the least mask outside the span 0..2^j - 1, so the first leaf is the
+    identity unless a column filter drops it.  A caller that only asks
+    whether the identity is least stops at the second leaf yielded.
     """
     size = 1 << k
     best = None             # least key and its img
     autos: list[list[int]] = []
 
     def node(j: int, span: list[int]):
-        # returns a level to unwind to, or None
+        # yields improving leaves; returns a level to unwind to, or None
         nonlocal best
         if best is not None:
             top, least = len(span), best[0]
@@ -275,13 +284,14 @@ def _least_image(k: int, w, keys, offsets) -> list[int]:
             explored.append(c)
             img = span + [c ^ s for s in span]
             if j + 1 < k:
-                back = node(j + 1, img)
+                back = yield from node(j + 1, img)
                 if back is not None and back < j:
                     return back
                 continue
             key = [w[img[m]] for m in keys]
             if best is None or key < best[0]:
                 best = (key, img)
+                yield img
             elif key == best[0]:
                 g = [0] * size
                 for m, x in enumerate(best[1]):
@@ -294,8 +304,7 @@ def _least_image(k: int, w, keys, offsets) -> list[int]:
                     return d
         return None
 
-    node(0, [0])
-    return best[1]
+    return node(0, [0])
 
 
 def _check_search_rank(k: int) -> None:
@@ -310,7 +319,7 @@ def canonical_form(rep: DiagonalRep) -> DiagonalRep:
     limited to k <= chargroup.MAX_EXHAUSTIVE_AUT_RANK.
     """
     _check_search_rank(rep.k)
-    img = _least_image(rep.k, rep.q, *_reading(rep.k, False))
+    *_, img = _least_image(rep.k, rep.q, *_reading(rep.k, False))
     return DiagonalRep(rep.k, tuple(rep.q[m] for m in img))
 
 
@@ -327,7 +336,7 @@ def display_representative(rep: DiagonalRep) -> DiagonalRep:
 
 
 def _display_image(k: int, q: tuple[int, ...]) -> tuple[int, ...]:
-    img = _least_image(k, [-v for v in q], *_reading(k, True))
+    *_, img = _least_image(k, [-v for v in q], *_reading(k, True))
     return tuple(q[m] for m in img)
 
 
@@ -337,12 +346,15 @@ def is_display_representative(k: int, q: tuple[int, ...]) -> bool:
 
     A necessary check runs first: the display representative's singletons
     are greedy, so q[2^j] is the largest value at the masks outside the span
-    of the singletons before it, which are the masks >= 2^j.
+    of the singletons before it, which are the masks >= 2^j.  Then the
+    display search runs until it decides: q is its own representative iff
+    the first leaf is the identity and no later leaf reads larger.
     """
     _check_search_rank(k)
     if any(q[1 << j] < max(q[1 << j:]) for j in range(k)):
         return False
-    return _display_image(k, q) == q
+    leaves = _least_image(k, [-v for v in q], *_reading(k, True))
+    return next(leaves) == list(range(1 << k)) and next(leaves, None) is None
 
 
 def _cheap_key(rep: DiagonalRep):

@@ -24,6 +24,16 @@ its parent, while a child x + e_c has its last nonzero display position at
 that of c, so y comes only from y - e_L with c = L.  No set of seen vectors
 is needed.
 
+Each candidate child costs one canonicity test,
+diagrep.is_display_representative.  It runs the display search only until
+the answer is known: the identity relabelling is the search's first leaf,
+and the test answers False at the first leaf that reads the child larger,
+or as soon as a column filter drops the identity.  Enumeration refuses up
+front, before any level is built, when its top level must hold more than
+CLASS_BUDGET classes: each orbit holds at most |GL(k, 2)| of the
+C(n + 2^k - 2, 2^k - 2) vectors of dimension n, so their quotient is at
+most the number of classes the generator builds there.
+
 Faithfulness and freedom from -Id are not inherited by parents, so they
 apply at the requested dimensions only, through the pattern that grouping
 computes anyway: a class of dimension n is kept iff its pattern (c_0, ..,
@@ -45,7 +55,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
-from math import comb
+from math import comb, prod
 
 from . import diagrep, flip as flip_mod
 from .chargroup import display_order
@@ -53,7 +63,7 @@ from .diagrep import DiagonalRep
 from .cohomology import betti_numbers, primitive_counts
 from .errors import CapabilityError
 
-COMPOSITION_BUDGET = 100_000_000
+CLASS_BUDGET = 100_000
 MAX_SEARCH_RANK = 4
 
 
@@ -145,6 +155,15 @@ def class_levels(k: int, n_max: int, workers: int = 1):
             yield n, level
 
 
+def _least_class_count(k: int, n: int) -> int:
+    """A lower bound on the classes class_levels builds at dimension n: the
+    C(n + 2^k - 2, 2^k - 2) vectors with q_0 = 0 fall into orbits of at most
+    |GL(k, 2)| vectors each."""
+    free = (1 << k) - 2
+    group = prod((1 << k) - (1 << i) for i in range(k))
+    return -(-comb(n + free, free) // group)
+
+
 def _families(cfg: SearchConfig, n: int, classes) -> list[Family]:
     # keep the faithful classes without -Id and group them by pattern
     groups: dict[tuple[int, ...], list[DiagonalRep]] = {}
@@ -172,13 +191,11 @@ def enumerate_families(cfg: SearchConfig) -> list[Family]:
     """All families (pattern classes with >= min_family_size inequivalent
     members) for every dimension in the configured range, deterministically
     ordered: ascending dimension, then descending leading member."""
-    free = (1 << cfg.k) - 1
     n_max = cfg.dimensions[-1]
-    count = comb(n_max + free - 1, free - 1)
-    if count > COMPOSITION_BUDGET:
-        raise CapabilityError(
-            f"the search space holds {count} multiplicity vectors of dimension "
-            f"{n_max} (> budget {COMPOSITION_BUDGET})")
+    least = _least_class_count(cfg.k, n_max)
+    if least > CLASS_BUDGET:
+        raise CapabilityError(f"enumeration at k={cfg.k} up to n={n_max} builds at least "
+                              f"{least} classes in its top level (> budget {CLASS_BUDGET})")
     out = []
     for n, classes in class_levels(cfg.k, n_max, cfg.workers):
         if n >= cfg.n:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +99,14 @@ def test_primitive_counts_k6_degree7_circuit_sum():
     p = primitive_counts(rep)
     assert p[7] > 0 and p[6] > 0
     assert p == circuit_sum_primitive_counts(rep)
+
+
+def test_primitive_counts_k6_dense_support_refuses_up_front():
+    # all 63 characters: the degree-7 walk would visit C(63, 6) heads
+    start = time.perf_counter()
+    with pytest.raises(CapabilityError, match="circuit heads"):
+        primitive_counts(DiagonalRep(6, (0,) + (1,) * 63))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_primitive_counts_full_support_pins():

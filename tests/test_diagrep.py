@@ -245,6 +245,36 @@ def test_k5_extremes_are_relabelling_invariant(pair):
     assert are_equivalent(rep, other)
 
 
+# q = 1 at the masks 1, 2, 3, 4, 8, 12, 13, 16: the singleton check passes,
+# but on the identity's path the pair filter at level 2 keeps only the
+# columns 12 and 13, whose pairs with column 1 (13 and 12) read 1, and drops
+# the identity's column 4, whose pair 5 reads 0
+PAIR_FILTER_DROPS_IDENTITY = DiagonalRep(5, tuple(
+    int(m in (1, 2, 3, 4, 8, 12, 13, 16)) for m in range(32)))
+
+
+@given(relabelled_k5())
+@example((PAIR_FILTER_DROPS_IDENTITY, PAIR_FILTER_DROPS_IDENTITY))
+@settings(max_examples=25)
+def test_k5_canonicity_test_matches_display_search(pair):
+    # the early-exit test against the full display search, on a rep, a
+    # relabelling of it, their common display representative and the
+    # vectors one unit above it, which mostly pass the singleton check
+    rep, other = pair
+    form = display_representative(rep).q
+    above = [form[:c] + (form[c] + 1,) + form[c + 1:] for c in range(1, 32)]
+    for v in (rep.q, other.q, form, *above):
+        assert is_display_representative(5, v) == (display_representative(DiagonalRep(5, v)).q == v)
+
+
+def test_pair_filter_drops_identity():
+    q = PAIR_FILTER_DROPS_IDENTITY.q
+    assert all(q[1 << j] == max(q[1 << j:]) for j in range(5))
+    leaves = diagrep._least_image(5, [-v for v in q], *diagrep._reading(5, True))
+    assert next(leaves) != list(range(32))
+    assert not is_display_representative(5, q)
+
+
 def test_all_ones_k5_is_its_own_extreme():
     for q0 in (0, 1):
         rep = DiagonalRep(5, (q0,) + (1,) * 31)

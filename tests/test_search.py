@@ -262,9 +262,18 @@ def test_config_validation():
 
 
 def test_composition_budget(monkeypatch):
-    monkeypatch.setattr(search, "COMPOSITION_BUDGET", 10)
+    monkeypatch.setattr(search, "CLASS_BUDGET", 10)
     with pytest.raises(CapabilityError):
         enumerate_families(SearchConfig(k=3, n=9))
+
+
+def test_class_budget_is_a_floor_the_generator_meets():
+    for k, n_max in ((3, 12), (4, 10)):
+        counts = burnside_class_counts(k, n_max)
+        assert all(search._least_class_count(k, n) <= c for n, c in enumerate(counts, 1))
+    assert search._least_class_count(4, 16) <= search.CLASS_BUDGET
+    with pytest.raises(CapabilityError, match="budget"):
+        enumerate_families(SearchConfig(k=4, n=21))
 
 
 def test_families_sorted_within_dimension():
