@@ -340,6 +340,19 @@ def _display_image(k: int, q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(q[m] for m in img)
 
 
+def order_type(q) -> tuple[int, ...]:
+    """The dense rank of each entry of q among its distinct values.
+
+    is_display_representative depends on q through its order type alone.
+    The singleton check and every step of the display search compare
+    entries with each other, never with a constant, and the search runs on
+    w = -q, which reverses each such comparison for every q alike.  So a
+    strictly increasing relabelling of the values leaves the answer as it is.
+    """
+    rank = {v: i for i, v in enumerate(sorted(set(q)))}
+    return tuple(rank[v] for v in q)
+
+
 def is_display_representative(k: int, q: tuple[int, ...]) -> bool:
     """Whether the multiplicity vector q (length 2^k) is its own
     display_representative.  Same limit as display_representative.

@@ -24,11 +24,15 @@ its parent, while a child x + e_c has its last nonzero display position at
 that of c, so y comes only from y - e_L with c = L.  No set of seen vectors
 is needed.
 
-Each candidate child costs one canonicity test,
-diagrep.is_display_representative.  It runs the display search only until
-the answer is known: the identity relabelling is the search's first leaf,
-and the test answers False at the first leaf that reads the child larger,
-or as soon as a column filter drops the identity.  Enumeration refuses up
+The canonicity test, diagrep.is_display_representative, runs the display
+search only until the answer is known: the identity relabelling is the
+search's first leaf, and the test answers False at the first leaf that reads
+the child larger, or as soon as a column filter drops the identity.  Its
+answer depends only on the child's order type, the dense ranks of its
+entries (diagrep.order_type), and many children share one: class_levels(3,
+18) meets 7,281 candidates of 777 order types.  So one class_levels call
+keeps a memo from order type to verdict and runs one test per order type it
+meets.  There is no memo across calls.  Enumeration refuses up
 front, before any level is built, when its top level must hold more than
 CLASS_BUDGET classes: each orbit holds at most |GL(k, 2)| of the
 C(n + 2^k - 2, 2^k - 2) vectors of dimension n, so their quotient is at
@@ -40,9 +44,14 @@ computes anyway: a class of dimension n is kept iff its pattern (c_0, ..,
 c_n) has c_0 = 0 (no nonzero element fixes nothing) and c_n = 1 (only the
 identity fixes everything).
 
-Workers split each level's parents into contiguous slices; the merge is
-concatenation in slice order, so every level, and so the output, is the
-same for any worker count.
+With workers, the levels are built in this process until one is large
+enough to share out; that level is cut into contiguous slices, and each
+process task builds the whole subtree below one slice, every deeper level of
+it, under a memo of its own.  Each deeper level is the concatenation of the
+tasks' blocks in slice order.  That is the level the serial generator
+builds: children come out in parent order, so if the slices' parents are
+contiguous and in order at one level, their children are at the next.  So
+every level, and so the output, is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -52,7 +61,6 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb, prod
@@ -65,6 +73,9 @@ from .errors import CapabilityError
 
 CLASS_BUDGET = 100_000
 MAX_SEARCH_RANK = 4
+# with workers, subtrees handed out per process: more than one, so that the
+# processes that finish small subtrees early take further ones
+SUBTREES_PER_PROCESS = 4
 
 
 @dataclass(frozen=True)
@@ -124,35 +135,66 @@ class Family:
 # -- orderly generation ------------------------------------------------------
 
 
-def _children(k: int, parents) -> list[tuple[int, ...]]:
+def _children(k: int, parents, memo: dict) -> list[tuple[int, ...]]:
     """The classes one unit above parents (display representatives), in
-    parent order.  Top-level function so that worker processes can receive
-    it."""
+    parent order.  memo maps an order type, as bytes, to its canonicity
+    verdict."""
     order = display_order(k)
     out = []
     for x in parents:
         last = max((i for i, m in enumerate(order) if x[m]), default=1)
         for c in order[last:]:
             y = x[:c] + (x[c] + 1,) + x[c + 1:]
-            if diagrep.is_display_representative(k, y):
+            # as bytes (ranks < 2^k), a third of a tuple's size: the memo
+            # grows with the order types met, 143,227 of them at k = 4, n <= 20
+            key = bytes(diagrep.order_type(y))
+            keep = memo.get(key)
+            if keep is None:
+                keep = memo[key] = diagrep.is_display_representative(k, y)
+            if keep:
                 out.append(y)
     return out
+
+
+def _descend(k: int, depth: int, parents) -> list[list[tuple[int, ...]]]:
+    """The depth levels below parents, each in parent order, under one memo.
+    Top-level function so that worker processes can receive it."""
+    memo: dict = {}
+    levels = []
+    for _ in range(depth):
+        parents = _children(k, parents, memo)
+        levels.append(parents)
+    return levels
 
 
 def class_levels(k: int, n_max: int, workers: int = 1):
     """Yield (n, classes) for n = 1..n_max: every relabeling class of
     multiplicity vectors with q_0 = 0 and dimension n, unfiltered, each as
     its display representative (a q tuple in numeric character order).
-    Each level is cut into `workers` slices, run by at most one process per CPU."""
+
+    Canonicity verdicts are memoized by order type for the whole call.
+    With workers > 1, levels are built here until one holds
+    SUBTREES_PER_PROCESS classes per process (at most one process per CPU);
+    that level is cut into SUBTREES_PER_PROCESS contiguous slices per
+    process, and each process task builds every deeper level of one slice
+    under a memo of its own."""
+    memo: dict = {}
+    level = [(0,) * (1 << k)]
     processes = min(workers, os.cpu_count() or 1)
-    with ProcessPoolExecutor(processes) if workers > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        level = [(0,) * (1 << k)]
-        for n in range(1, n_max + 1):
-            step = -(-len(level) // workers)
-            slices = [level[i:i + step] for i in range(0, len(level), step)]
-            level = [y for part in run(_children, repeat(k), slices) for y in part]
-            yield n, level
+    tasks = SUBTREES_PER_PROCESS * processes
+    n = 0
+    while n < n_max and (workers == 1 or len(level) < tasks):
+        n += 1
+        level = _children(k, level, memo)
+        yield n, level
+    if n == n_max:
+        return
+    step = -(-len(level) // tasks)
+    slices = [level[i:i + step] for i in range(0, len(level), step)]
+    with ProcessPoolExecutor(processes) as pool:
+        parts = list(pool.map(_descend, repeat(k), repeat(n_max - n), slices))
+    for n in range(n + 1, n_max + 1):
+        yield n, [y for part in parts for y in part.pop(0)]
 
 
 def _least_class_count(k: int, n: int) -> int:

@@ -9,7 +9,9 @@ exhaustive matching, Sunada tables straight from column data with index-set
 arithmetic, character relabelings by listing every automorphism of Z_2^k,
 and the translation search as the plain element-by-element backtracking,
 without the library's bitmask cuts, or by trying every translation matrix
-at tiny ranks and dimensions.
+at tiny ranks and dimensions.  The orderly class generator is also kept
+here in its plain form, one canonicity test per candidate child and no
+memo.
 
 The circuits of each degree over all nonzero characters live here too: the
 library only enumerates circuits inside a support (circuits_within), and
@@ -26,7 +28,7 @@ import numpy as np
 from flatiso.bieberbach import BieberbachGroup, is_torsion_free
 from flatiso.chargroup import (MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank,
                                circuits_within, display_order, evaluate)
-from flatiso.diagrep import DiagonalRep, coordinate_characters
+from flatiso.diagrep import DiagonalRep, coordinate_characters, is_display_representative
 from flatiso.errors import CapabilityError
 
 
@@ -391,3 +393,24 @@ def torsion_free_translations_exist(rep: DiagonalRep) -> bool:
         if is_torsion_free(BieberbachGroup(k, chars, rows)).ok:
             return True
     return False
+
+
+# -- orderly class generation ------------------------------------------------
+
+
+def class_levels_reference(k: int, n_max: int) -> list[list[tuple[int, ...]]]:
+    """The levels n = 1..n_max of search.class_levels, each candidate child
+    x + e_c tested on its own, with no memo and no worker split."""
+    order = display_order(k)
+    levels, level = [], [(0,) * (1 << k)]
+    for _ in range(n_max):
+        children = []
+        for x in level:
+            last = max((i for i, m in enumerate(order) if x[m]), default=1)
+            for c in order[last:]:
+                y = x[:c] + (x[c] + 1,) + x[c + 1:]
+                if is_display_representative(k, y):
+                    children.append(y)
+        levels.append(children)
+        level = children
+    return levels

@@ -11,8 +11,8 @@ from flatiso import chargroup, diagrep
 from flatiso.diagrep import (DiagonalRep, are_equivalent, canonical_form,
                              contains_minus_identity, display_representative,
                              fixed_dim, fixed_dims, format_rep, is_display_representative,
-                             is_faithful, is_orientable, kahler_class, parse_rep,
-                             pattern)
+                             is_faithful, is_orientable, kahler_class, order_type,
+                             parse_rep, pattern)
 from flatiso.errors import CapabilityError
 
 
@@ -265,6 +265,84 @@ def test_k5_canonicity_test_matches_display_search(pair):
     above = [form[:c] + (form[c] + 1,) + form[c + 1:] for c in range(1, 32)]
     for v in (rep.q, other.q, form, *above):
         assert is_display_representative(5, v) == (display_representative(DiagonalRep(5, v)).q == v)
+
+
+def display_image(k, q):
+    """The relabelling display_representative reads q through: the display
+    search's last leaf."""
+    *_, img = diagrep._least_image(k, [-v for v in q], *diagrep._reading(k, True))
+    return img
+
+
+@st.composite
+def monotone_maps(draw, q):
+    """A strictly increasing map of the distinct values of q, as a dict, that
+    sends some value above 0."""
+    values = sorted(set(q))
+    image = draw(st.sets(st.integers(0, 70000), min_size=len(values),
+                         max_size=len(values)).filter(any))
+    return dict(zip(values, sorted(image)))
+
+
+@st.composite
+def remapped_reps(draw, max_k=4):
+    """A vector q with q_0 in {0, 1} and a strictly increasing map of its values."""
+    k = draw(st.integers(1, max_k))
+    q0 = draw(st.integers(0, 1))
+    rest = draw(st.lists(st.integers(0, 4), min_size=(1 << k) - 1, max_size=(1 << k) - 1))
+    q = (q0, *rest)
+    if not any(q):
+        q = (1, *rest)
+    return DiagonalRep(k, q), draw(monotone_maps(q))
+
+
+@given(remapped_reps())
+@example((DiagonalRep(4, (1,) * 16), {1: 9}))
+@example((DiagonalRep(4, (0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1)), {0: 5, 1: 6}))
+@example((DiagonalRep(3, (1, 2, 2, 0, 1, 0, 3, 0)), {0: 0, 1: 1, 2: 300, 3: 301}))
+@settings(max_examples=80)
+def test_canonicity_depends_on_order_type_alone(case):
+    # q and its display representative, each against its image under a
+    # strictly increasing map of values: same verdict, same relabelling, and
+    # the image's verdict and extreme agree with the whole orbit
+    rep, remap = case
+    k = rep.k
+    _, display, order = orbit_readers(k)
+    for q in (rep.q, display_representative(rep).q):
+        image = tuple(remap[v] for v in q)
+        ranks = order_type(q)
+        assert order_type(image) == ranks and set(ranks) == set(range(len(set(q))))
+        assert all((a < b) == (x < y) for a, x in zip(q, ranks) for b, y in zip(q, ranks))
+        verdict = is_display_representative(k, image)
+        assert verdict == is_display_representative(k, q)
+        assert display_image(k, image) == display_image(k, q)
+        greatest = max(read(image) for read in display)
+        form = display_representative(DiagonalRep(k, image))
+        assert tuple(form.q[m] for m in order) == greatest
+        assert verdict == (tuple(image[m] for m in order) == greatest)
+
+
+@st.composite
+def remapped_k5(draw):
+    rep, other = draw(relabelled_k5())
+    return rep, other, draw(monotone_maps(rep.q))
+
+
+@given(remapped_k5())
+@example((PAIR_FILTER_DROPS_IDENTITY, PAIR_FILTER_DROPS_IDENTITY, {0: 2, 1: 7}))
+@example((DiagonalRep(5, (0, 1, 1) + (0,) * 29), DiagonalRep(5, (0,) * 30 + (1, 1)),
+          {0: 0, 1: 40}))
+@settings(max_examples=15)
+def test_k5_canonicity_depends_on_order_type_alone(case):
+    # no orbit listing at k = 5: a relabelled partner stands in for it
+    rep, other, remap = case
+    form = display_representative(rep).q
+    for q in (rep.q, other.q, form):
+        image = tuple(remap[v] for v in q)
+        assert is_display_representative(5, image) == is_display_representative(5, q)
+        assert display_image(5, image) == display_image(5, q)
+    images = [DiagonalRep(5, tuple(remap[v] for v in q)) for q in (rep.q, other.q, form)]
+    assert {display_representative(r) for r in images} == {images[2]}
 
 
 def test_pair_filter_drops_identity():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from collections import Counter
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import goldens
-from oracles import automorphism_table
+from oracles import automorphism_table, class_levels_reference
 from flatiso import diagrep, search
 from flatiso.diagrep import DiagonalRep
 from flatiso.errors import CapabilityError
@@ -183,8 +184,30 @@ def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         assert enumerate_families(SearchConfig(k=3, n=9, workers=5000)) == expected
         assert sizes.pop() == size and not sizes
-    # levels are still cut into up to `workers` slices, not one per process
+    # the cut level goes out as SUBTREES_PER_PROCESS slices per process, not one per process
     assert max(slice_counts) > 2
+
+
+@functools.lru_cache(maxsize=None)
+def reference_levels(k, n_max):
+    return class_levels_reference(k, n_max)
+
+
+@pytest.mark.parametrize("k, n_max", [(3, 14), (4, 10)])
+@pytest.mark.parametrize("workers, cpus", [(1, 1), (2, 2), (4, 4), (16, 2)])
+def test_class_levels_match_memo_free_reference(monkeypatch, k, n_max, workers, cpus):
+    # every level, with verdicts memoized by order type, against one
+    # canonicity test per candidate; with workers, the subtrees are cut
+    # below n_max, so each process task builds several levels under its own memo
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    want = reference_levels(k, n_max)
+    if workers > 1:
+        cut = next(n for n, level in enumerate(want, 1)
+                   if len(level) >= search.SUBTREES_PER_PROCESS * cpus)
+        assert cut < n_max - 1
+    got = list(search.class_levels(k, n_max, workers))
+    assert [n for n, _ in got] == list(range(1, n_max + 1))
+    assert [level for _, level in got] == want
 
 
 def test_json_round_trip():
