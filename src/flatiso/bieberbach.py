@@ -30,11 +30,9 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import flip as flip_mod
-from .chargroup import check_mask, check_rank, display_order, indices_from_mask
+from .chargroup import check_mask, check_rank, display_order
 from .diagrep import DiagonalRep, coordinate_characters
 from .errors import CapabilityError
-
-HALF = "½"
 
 
 @dataclass(frozen=True)
@@ -79,15 +77,6 @@ class BieberbachGroup:
         for c in self.coord_chars:
             q[c] += 1
         return DiagonalRep(self.k, tuple(q))
-
-    @cached_property
-    def block_order(self) -> tuple[int, ...]:
-        """Characters in order of first appearance along the coordinates."""
-        seen = []
-        for c in self.coord_chars:
-            if c not in seen:
-                seen.append(c)
-        return tuple(seen)
 
     @cached_property
     def tags(self) -> tuple[int, ...]:
@@ -442,23 +431,6 @@ def read_bgf(stream) -> BieberbachGroup:
 
 
 # -- renderers ------------------------------------------------------------------
-
-def column_notation(group: BieberbachGroup) -> str:
-    """Per-coordinate rows of generator signs with half-entry subscripts,
-    grouped by character block, for eyeball comparison with printed tables."""
-    header = ["block", "coord"] + [f"B{i + 1}" for i in range(group.k)]
-    rows = [header]
-    for j, c in enumerate(group.coord_chars):
-        label = "chi_" + ("".join(str(i) for i in indices_from_mask(c)) or "0")
-        cells = [label, str(j + 1)]
-        for i in range(group.k):
-            sign = "-1" if c >> i & 1 else " 1"
-            cells.append(sign + (HALF if group.gen_translations[i][j] else " "))
-        rows.append(cells)
-    widths = [max(len(r[col]) for r in rows) for col in range(len(header))]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-                     for r in rows)
-
 
 def sunada_table_text(table: dict[tuple[int, int], int], n: int,
                       include_identity: bool = False) -> str:

@@ -3,8 +3,8 @@
 The rational cohomology of a flat manifold with diagonal holonomy F is the
 ring of F-invariants in the exterior algebra of Q^n.  The group acts on each
 coordinate e_j by a character psi_j, so every relevant subspace is spanned
-by monomials e_S = e_{s_1} ^ ... ^ e_{s_p}, and all the ring arithmetic here
-is exact combinatorics on index sets:
+by monomials e_S = e_{s_1} ^ ... ^ e_{s_p}, and every count here is exact
+integer arithmetic that never lists a monomial:
 
   * e_S is invariant        iff  prod_{j in S} psi_j = 1;
   * e_S is primitive        iff  it is invariant and no proper nonempty
@@ -22,23 +22,17 @@ is exact combinatorics on index sets:
 
 The primitive counts are ring invariants: a minimal generating set of the
 invariant algebra has exactly sum_p P_p elements, so differing sums certify
-non-isomorphic cohomology rings.
-
-Coordinates are assigned to characters in blocks.  The default block order
-is the display order of the characters; constructions that fix their own
-coordinate layout pass it via the ``order`` argument so that printed
-monomials match the reference tables digit for digit.
+non-isomorphic cohomology rings.  Brute-force monomial listers, kept as
+references for these counts, live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb, prod
 from operator import mul
 
-from .chargroup import circuits_within, product, walsh
-from .diagrep import DiagonalRep, coordinate_characters, pattern
+from .chargroup import circuits_within, walsh
+from .diagrep import DiagonalRep, pattern
 from .errors import CapabilityError
 
 ENUMERATION_BUDGET = 10_000_000
@@ -174,123 +168,6 @@ def minimal_generator_count(rep: DiagonalRep) -> int:
     return sum(primitive_counts(rep))
 
 
-# -- explicit monomial bases -------------------------------------------------
-
-def _check_budget(n: int, p: int) -> None:
-    if comb(n, p) > ENUMERATION_BUDGET:
-        raise CapabilityError(
-            f"listing degree-{p} monomials in dimension {n} needs {comb(n, p)} candidates "
-            f"(> budget {ENUMERATION_BUDGET}); use the count-only interfaces"
-        )
-
-
-def invariant_basis(rep, p, order=None):
-    """All invariant degree-p monomials (sets of 1-based coordinates), sorted."""
-    n = rep.n
-    if not 0 <= p <= n:
-        raise ValueError(f"degree {p} outside 0..{n}")
-    _check_budget(n, p)
-    psi = coordinate_characters(rep, order)
-    out = []
-    for combo in combinations(range(n), p):
-        if product(psi[j] for j in combo) == 0:
-            out.append(tuple(j + 1 for j in combo))
-    return out
-
-
-def _has_invariant_submonomial(indices, psi) -> bool:
-    p = len(indices)
-    # an invariant proper subset exists iff one of size <= p//2 does
-    for r in range(1, p // 2 + 1):
-        for sub in combinations(indices, r):
-            if product(psi[j - 1] for j in sub) == 0:
-                return True
-    return False
-
-
-def primitive_basis(rep, p, order=None):
-    """Invariant degree-p monomials with no invariant proper sub-monomial."""
-    if p == 0:
-        return [()]
-    if p > rep.k + 1:
-        return []
-    psi = coordinate_characters(rep, order)
-    return [mono for mono in invariant_basis(rep, p, order)
-            if not _has_invariant_submonomial(mono, psi)]
-
-
-def decomposition_check(rep, p, order=None) -> int:
-    """Dimension of the decomposable part of degree p: invariant monomials
-    that do split off an invariant sub-monomial.  Equals beta_p - P_p.
-    """
-    if p == 0:
-        return 0
-    psi = coordinate_characters(rep, order)
-    return sum(1 for mono in invariant_basis(rep, p, order)
-               if _has_invariant_submonomial(mono, psi))
-
-
-@dataclass
-class GradedSpan:
-    """Degree-indexed monomial spans inside the invariant algebra."""
-
-    by_degree: dict[int, frozenset[tuple[int, ...]]] = field(default_factory=dict)
-
-    @classmethod
-    def from_monomials(cls, monomials) -> "GradedSpan":
-        acc: dict[int, set] = {}
-        for mono in monomials:
-            acc.setdefault(len(mono), set()).add(tuple(mono))
-        return cls({d: frozenset(s) for d, s in acc.items()})
-
-    def degree(self, p: int) -> frozenset[tuple[int, ...]]:
-        return self.by_degree.get(p, frozenset())
-
-    def is_zero(self) -> bool:
-        return not any(self.by_degree.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedSpan):
-            return NotImplemented
-        keys = set(self.by_degree) | set(other.by_degree)
-        return all(self.degree(d) == other.degree(d) for d in keys)
-
-
-def invariant_span(rep, degrees, order=None) -> GradedSpan:
-    """Invariant monomial span in the given degrees."""
-    monos = []
-    for p in degrees:
-        monos.extend(invariant_basis(rep, p, order))
-    return GradedSpan.from_monomials(monos)
-
-
-def wedge_span(a: GradedSpan, b: GradedSpan) -> GradedSpan:
-    """Monomial span of the wedge product: disjoint unions of index sets."""
-    acc: dict[int, set] = {}
-    for da, sa in a.by_degree.items():
-        for db, sb in b.by_degree.items():
-            bucket = acc.setdefault(da + db, set())
-            for m1 in sa:
-                s1 = set(m1)
-                for m2 in sb:
-                    if s1.isdisjoint(m2):
-                        bucket.add(tuple(sorted(m1 + m2)))
-    return GradedSpan({d: frozenset(s) for d, s in acc.items() if s})
-
-
-def kahler_obstruction(rep: DiagonalRep) -> bool:
-    """True iff the (n/2)-fold wedge of the invariant 2-forms vanishes, which
-    rules out any Kaehler structure.
-
-    Invariant 2-monomials pair coordinates within one character block, so a
-    top-degree product needs a perfect within-block matching: it exists iff
-    every q_I is even.  Obstructed therefore means some q_I is odd.
-    """
-    if rep.n % 2:
-        raise ValueError("Kaehler obstruction is only defined in even dimensions")
-    return any(v % 2 for v in rep.q)
-
-
 # -- Lefschetz structure -----------------------------------------------------
 
 def lefschetz_multiplicities(betti, n: int) -> dict[int, int]:
@@ -316,70 +193,3 @@ def lefschetz_multiplicities(betti, n: int) -> dict[int, int]:
         if m:
             out[n // 2 - p + 1] = m
     return out
-
-
-def _exact_rank(rows) -> int:
-    """Rank of a small integer matrix by fraction-free Gaussian elimination."""
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        for i in range(rank + 1, len(m)):
-            if m[i][col]:
-                a, b = pr[col], m[i][col]
-                m[i] = [a * x - b * y for x, y in zip(m[i], pr)]
-        rank += 1
-    return rank
-
-
-def lefschetz_operator_multiplicities(rep, order=None) -> dict[int, int]:
-    """Recompute the sl2 multiplicities from explicit ranks of the operator
-    L = (wedge with the standard Kaehler 2-form) on invariant monomials.
-
-    Verification path for lefschetz_multiplicities; exact integer linear
-    algebra, so restricted to n <= 10.  Requires every q_I even (otherwise
-    there is no invariant Kaehler form of this shape).
-    """
-    n = rep.n
-    if n % 2 or any(v % 2 for v in rep.q):
-        raise ValueError("needs even multiplicities (invariant Kaehler form)")
-    if n > 10:
-        raise CapabilityError("explicit Lefschetz ranks are limited to n <= 10")
-    pairs = [(j, j + 1) for j in range(1, n + 1, 2)]  # consecutive in-block pairs
-
-    bases = {p: invariant_basis(rep, p, order) for p in range(n + 1)}
-    index = {p: {mono: i for i, mono in enumerate(bases[p])} for p in bases}
-
-    def l_matrix(p):
-        rows = []
-        for mono in bases[p]:
-            row = [0] * len(bases[p + 2])
-            s = set(mono)
-            for a, b in pairs:
-                if a in s or b in s:
-                    continue
-                sign = (-1) ** (sum(1 for x in mono if x < a) + sum(1 for x in mono if x < b))
-                row[index[p + 2][tuple(sorted(mono + (a, b)))]] += sign
-            rows.append(row)
-        return rows
-
-    out = {}
-    for p in range(n // 2 + 1):
-        below = _exact_rank(l_matrix(p - 2)) if p >= 2 and bases[p - 2] else 0
-        prim = len(bases[p]) - below
-        if prim:
-            out[n // 2 - p + 1] = prim
-    return out
-
-
-def format_monomial(mono, n: int) -> str:
-    """'346' for n <= 9, '3,4,6' above; '1' (empty product) for the unit."""
-    if not mono:
-        return "1"
-    sep = "" if n <= 9 else ","
-    return sep.join(str(i) for i in mono)

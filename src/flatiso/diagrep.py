@@ -122,12 +122,6 @@ def fixed_dims(rep: DiagonalRep) -> tuple[int, ...]:
     return tuple((n + w) >> 1 for w in chargroup.walsh(rep.q))
 
 
-def fixed_dim(rep: DiagonalRep, f: int) -> int:
-    """Dimension of the fixed space of rho(f): sum of q_J over chi_J(f) = +1."""
-    chargroup.check_mask(f, rep.k)
-    return fixed_dims(rep)[f]
-
-
 def pattern(rep: DiagonalRep) -> tuple[int, ...]:
     """Histogram (c_0, .., c_n) of fixed-space dimensions over all 2^k elements."""
     counts = [0] * (rep.n + 1)
@@ -155,11 +149,14 @@ def is_orientable(rep: DiagonalRep) -> bool:
 
 
 def kahler_class(rep: DiagonalRep) -> str:
-    """Sufficient-condition classification: "hyperkahler" if every q_I is divisible
-    by 4, "kahler" if every q_I is even, else "none".
+    """Classification by parity: "hyperkahler" if every q_I is divisible by 4,
+    "kahler" if every q_I is even, else "none".
 
-    "none" is not a proof of non-Kaehlerness by itself; the top-wedge
-    obstruction (cohomology.kahler_obstruction) is the definitive certificate.
+    "none" is the top-wedge obstruction, so it rules out any Kaehler
+    structure.  Invariant 2-monomials pair coordinates within one character
+    block, so the (n/2)-fold wedge of the invariant 2-forms is nonzero iff
+    the coordinates split into within-block pairs, that is iff every q_I is
+    even (odd n has no such pairing at all).
     """
     if all(v % 4 == 0 for v in rep.q):
         return HYPERKAHLER
@@ -279,6 +276,7 @@ def _least_image(k: int, w, keys, offsets):
                 used, cols = len(autos), [span[1 << i] for i in range(j)]
                 labels = _orbit_labels(size, [g for g in autos
                                               if all(g[x] == x for x in cols)])
+            # an orbit-mate of an explored column roots an equal subtree
             if labels is not None and labels[c] in {labels[e] for e in explored}:
                 continue
             explored.append(c)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chargroup import check_mask, evaluate
-from .diagrep import DiagonalRep, pattern
+from .diagrep import DiagonalRep
 
 NON_INTEGER_SHIFT = "non-integer u"
 NEGATIVE_MULTIPLICITY = "negative multiplicity"
@@ -92,10 +92,3 @@ def apply_flip(rep: DiagonalRep, spec: FlipSpec = DEFAULT_SPEC) -> FlipOutcome:
     if any(v < 0 for v in new_q):
         return FlipOutcome(u, None, NEGATIVE_MULTIPLICITY)
     return FlipOutcome(u, DiagonalRep(rep.k, new_q), None)
-
-
-def verify_almost_conjugate(a: DiagonalRep, b: DiagonalRep) -> bool:
-    """Pattern equality: the almost-conjugacy criterion for diagonal groups."""
-    if a.k != b.k or a.n != b.n:
-        raise ValueError("representations must share rank and dimension")
-    return pattern(a) == pattern(b)

@@ -16,10 +16,19 @@ memo.
 The circuits of each degree over all nonzero characters live here too: the
 library only enumerates circuits inside a support (circuits_within), and
 the tests check that enumerator against these complete lists.
+
+So do the monomial listers the library's counts replaced: invariant_basis,
+primitive_basis and decomposition_check list the invariant, primitive and
+decomposable degree-p monomials, invariant_span and wedge_span build
+monomial spans as {degree: frozenset} dicts with empty degrees dropped, and
+lefschetz_operator_multiplicities recomputes the sl2 multiplicities from
+exact ranks of the Lefschetz operator.  Each takes a group, laid out by its
+own coord_chars, or a representation, laid out by coordinate_characters.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb, prod
 from typing import Iterator
 
@@ -27,7 +36,7 @@ import numpy as np
 
 from flatiso.bieberbach import BieberbachGroup, is_torsion_free
 from flatiso.chargroup import (MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank,
-                               circuits_within, display_order, evaluate)
+                               circuits_within, display_order, evaluate, product)
 from flatiso.diagrep import DiagonalRep, coordinate_characters, is_display_representative
 from flatiso.errors import CapabilityError
 
@@ -186,6 +195,107 @@ def sunada_from_columns(char_indices, half_rows, k):
     return dict(counts)
 
 
+# -- monomials of the invariant exterior algebra -----------------------------
+
+
+def _characters(source) -> tuple[int, ...]:
+    if isinstance(source, BieberbachGroup):
+        return source.coord_chars
+    return coordinate_characters(source)
+
+
+def invariant_basis(source, p):
+    """The invariant degree-p monomials as sorted tuples of 1-based
+    coordinates, in lexicographic order."""
+    psi = _characters(source)
+    return [tuple(j + 1 for j in combo) for combo in combinations(range(len(psi)), p)
+            if product(psi[j] for j in combo) == 0]
+
+
+def _splits(mono, psi) -> bool:
+    # an invariant proper sub-monomial exists iff one of degree <= p/2 does
+    return any(product(psi[j - 1] for j in sub) == 0
+               for r in range(1, len(mono) // 2 + 1) for sub in combinations(mono, r))
+
+
+def primitive_basis(source, p):
+    """Invariant degree-p monomials with no invariant proper sub-monomial."""
+    psi = _characters(source)
+    return [mono for mono in invariant_basis(source, p) if not _splits(mono, psi)]
+
+
+def decomposition_check(source, p) -> int:
+    """Number of invariant degree-p monomials that split off an invariant
+    sub-monomial: beta_p - P_p."""
+    psi = _characters(source)
+    return sum(_splits(mono, psi) for mono in invariant_basis(source, p))
+
+
+def invariant_span(source, degrees) -> dict[int, frozenset]:
+    """The invariant monomials of the given degrees, by degree."""
+    spans = {p: frozenset(invariant_basis(source, p)) for p in degrees}
+    return {p: span for p, span in spans.items() if span}
+
+
+def wedge_span(a, b) -> dict[int, frozenset]:
+    """Monomial span of the wedge product: the disjoint unions of index sets."""
+    acc: dict[int, set] = {}
+    for da, sa in a.items():
+        for db, sb in b.items():
+            acc.setdefault(da + db, set()).update(
+                tuple(sorted(m1 + m2)) for m1 in sa for m2 in sb if set(m1).isdisjoint(m2))
+    return {d: frozenset(s) for d, s in acc.items() if s}
+
+
+def _exact_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free Gaussian elimination."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pr = m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                a, b = pr[col], m[i][col]
+                m[i] = [a * x - b * y for x, y in zip(m[i], pr)]
+        rank += 1
+    return rank
+
+
+def lefschetz_operator_multiplicities(source) -> dict[int, int]:
+    """The sl2 multiplicities from exact ranks of L, the wedge with the
+    Kaehler form sum e_j ^ e_{j+1} over the coordinate pairs (1, 2), (3, 4),
+    ..., which must each lie in one character block: the module of dimension
+    n/2 - p + 1 occurs dim H^p - rank(L: H^(p-2) -> H^p) times."""
+    psi = _characters(source)
+    n = len(psi)
+    pairs = [(j, j + 1) for j in range(1, n + 1, 2)]
+    assert n % 2 == 0 and all(psi[a - 1] == psi[b - 1] for a, b in pairs)
+    bases = {p: invariant_basis(source, p) for p in range(n + 1)}
+    index = {p: {mono: i for i, mono in enumerate(bases[p])} for p in bases}
+
+    def l_matrix(p):
+        rows = []
+        for mono in bases[p]:
+            row = [0] * len(bases[p + 2])
+            for a, b in pairs:
+                if a not in mono and b not in mono:
+                    sign = (-1) ** (sum(x < a for x in mono) + sum(x < b for x in mono))
+                    row[index[p + 2][tuple(sorted(mono + (a, b)))]] += sign
+            rows.append(row)
+        return rows
+
+    out = {}
+    for p in range(n // 2 + 1):
+        below = _exact_rank(l_matrix(p - 2)) if p >= 2 else 0
+        if prim := len(bases[p]) - below:
+            out[n // 2 - p + 1] = prim
+    return out
+
+
 # -- circuits of the character group ----------------------------------------
 
 
@@ -308,7 +418,7 @@ def automorphism_table(k: int) -> np.ndarray:
 # -- translation search ------------------------------------------------------
 
 
-def find_translations_reference(rep: DiagonalRep, wide_search: bool = False, order=None):
+def find_translations_reference(rep: DiagonalRep, wide_search: bool = False):
     """Deterministic backtracking search for translation vectors making the
     representation the holonomy of a Bieberbach group; None when the search
     space is exhausted.
@@ -324,7 +434,7 @@ def find_translations_reference(rep: DiagonalRep, wide_search: bool = False, ord
     """
     k = rep.k
     size = 1 << k
-    blocks = [m for m in (order if order is not None else display_order(k)) if rep.q[m] > 0]
+    blocks = [m for m in display_order(k) if rep.q[m] > 0]
     capacity = {m: rep.q[m] for m in blocks}
     per_gen_cap = rep.n if wide_search else 2
 
@@ -366,10 +476,10 @@ def find_translations_reference(rep: DiagonalRep, wide_search: bool = False, ord
         return None
 
     rows = [[0] * rep.n for _ in range(k)]
-    chars = coordinate_characters(rep, order)
+    chars = coordinate_characters(rep)
     offset = {}
     pos = 0
-    for m in (order if order is not None else display_order(k)):
+    for m in display_order(k):
         offset[m] = pos
         pos += rep.q[m]
     for block in blocks:

