@@ -6,13 +6,15 @@ i) and the translation parts b_i lie in {0, 1/2}^n, stored by numerators in
 {0, 1}.  Each coordinate carries a tag, the mask of the generators with a
 half entry there; a product element B_I has one where chi_tag(I) = -1.
 
+Per element I, s is the fixed dimension n_B and t the number of fixed
+coordinates whose tag negates I, the half-marked ones.  Both depend only on
+the (character, tag) counts and come from Walsh-Hadamard transforms: s from
+the character counts, t from the counts of each tag and character ^ tag.
 Torsion-freeness is the condition that every nonidentity element carries a
-half translation somewhere in its fixed space; a coordinate with character c
-and tag m does so for its kill mask, the I with chi_c(I) = 1, chi_m(I) = -1.
-The joint histogram of (fixed dimension, half-marked fixed coordinates) over
-the 2^k elements -- the Sunada numbers c_{s,t} -- depends only on the
-(character, tag) counts and decides isospectrality on p-forms for all p: two
-diagonal-type groups are Sunada isospectral iff the histograms agree.
+half translation somewhere in its fixed space, t > 0.  The joint histogram
+of (s, t) over the 2^k elements -- the Sunada numbers c_{s,t} -- decides
+isospectrality on p-forms for all p: two diagonal-type groups are Sunada
+isospectral iff the histograms agree.
 
 The module also provides the generic pair construction (a representation and
 its flip carrying matching translation recipes), fixed 24-dimensional and
@@ -23,15 +25,14 @@ and the BGF text format for group files.
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import flip as flip_mod
-from .chargroup import check_mask, check_rank, display_order
-from .diagrep import DiagonalRep, coordinate_characters
+from .chargroup import check_mask, check_rank, display_order, walsh
+from .diagrep import DiagonalRep, coordinate_characters, fixed_dims
 from .errors import CapabilityError
 
 
@@ -85,6 +86,19 @@ class BieberbachGroup:
         return tuple(sum(b[j] << i for i, b in enumerate(self.gen_translations))
                      for j in range(self.n))
 
+    @cached_property
+    def _fixed_halves(self) -> tuple[tuple[int, int], ...]:
+        """(s, t) for every element I, by mask.  A coordinate with character c
+        and tag m counts towards t when (1 + chi_c(I))(1 - chi_m(I)) / 4 = 1,
+        and the product expands to 1 + chi_c - chi_m - chi_{c^m}.  So with h
+        counting each coordinate's tag and its c ^ m, t = (2s - walsh(h)) / 4."""
+        h = [0] * (1 << self.k)
+        for c, tag in zip(self.coord_chars, self.tags):
+            h[tag] += 1
+            h[c ^ tag] += 1
+        fixed = fixed_dims(self.rep)
+        return tuple((s, (2 * s - w) >> 2) for s, w in zip(fixed, walsh(h)))
+
     @classmethod
     def from_tags(cls, rep: DiagonalRep, heads, order=None) -> "BieberbachGroup":
         """The group on coordinate_characters(rep, order) in which block m
@@ -99,16 +113,6 @@ class BieberbachGroup:
         return cls(rep.k, coordinate_characters(rep, order), rows)
 
 
-def _negated(k: int, m: int) -> int:
-    """Bitmask of the elements I with chi_m(I) = -1, one generator at a time:
-    the elements containing generator i+1 are those without it shifted by
-    2^i, and chi_m flips on them when m contains i+1."""
-    out = 0
-    for i in range(k):
-        out |= (out ^ ((1 << (1 << i)) - 1) if m >> i & 1 else out) << (1 << i)
-    return out
-
-
 class TorsionCheck(NamedTuple):
     ok: bool
     witness: int | None  # a violating element mask when not torsion-free
@@ -116,15 +120,10 @@ class TorsionCheck(NamedTuple):
 
 def is_torsion_free(group: BieberbachGroup) -> TorsionCheck:
     """Every nonidentity element must carry a half entry inside its fixed
-    space; the witness is the least element that no coordinate's kill mask
-    covers."""
-    killed = 0
-    for c, tag in set(zip(group.coord_chars, group.tags)):
-        killed |= _negated(group.k, tag) & ~_negated(group.k, c)
-    uncovered = ((1 << (1 << group.k)) - 2) & ~killed
-    if uncovered:
-        return TorsionCheck(False, (uncovered & -uncovered).bit_length() - 1)
-    return TorsionCheck(True, None)
+    space (t > 0); the witness is the least element with t = 0."""
+    witness = next((mask for mask, (_, t) in enumerate(group._fixed_halves) if mask and not t),
+                   None)
+    return TorsionCheck(witness is None, witness)
 
 
 def sunada_table(group: BieberbachGroup) -> dict[tuple[int, int], int]:
@@ -132,17 +131,7 @@ def sunada_table(group: BieberbachGroup) -> dict[tuple[int, int], int]:
     I, s counts the coordinates whose character fixes I and t those of them
     whose tag negates I.  The identity contributes (n, 0); renderers may
     suppress that row, the comparison never does."""
-    pairs = Counter(zip(group.coord_chars, group.tags)).items()
-    counts: Counter[tuple[int, int]] = Counter()
-    for mask in range(1 << group.k):
-        s = t = 0
-        for (c, tag), count in pairs:
-            if not (c & mask).bit_count() & 1:
-                s += count
-                if (tag & mask).bit_count() & 1:
-                    t += count
-        counts[(s, t)] += 1
-    return dict(counts)
+    return dict(Counter(group._fixed_halves))
 
 
 def is_sunada_isospectral(a: BieberbachGroup, b: BieberbachGroup) -> bool:
@@ -282,10 +271,18 @@ MAX_TRANSLATION_RANK = 10
 @lru_cache(maxsize=None)
 def _negations(k: int):
     """Per character m, the bitmask of the elements I with chi_m(I) = -1; per
-    element I, the nonzero characters negating it, ascending."""
+    element I, the nonzero characters negating it, ascending.  A mask grows
+    one generator at a time: the elements containing generator i+1 are those
+    without it shifted by 2^i, and chi_m flips on them when m contains i+1."""
     size = 1 << k
-    negs = tuple(_negated(k, m) for m in range(size))
-    return negs, tuple(tuple(m for m in range(1, size) if negs[m] >> e & 1) for e in range(size))
+    negs = []
+    for m in range(size):
+        out = 0
+        for i in range(k):
+            out |= (out ^ ((1 << (1 << i)) - 1) if m >> i & 1 else out) << (1 << i)
+        negs.append(out)
+    return tuple(negs), tuple(tuple(m for m in range(1, size) if negs[m] >> e & 1)
+                              for e in range(size))
 
 
 def find_translations(rep: DiagonalRep):
@@ -373,12 +370,6 @@ def write_bgf(group: BieberbachGroup, stream) -> None:
         nums = " ".join(str(v) for v in group.gen_translations[i])
         stream.write(f"B{i + 1} {signs}\n")
         stream.write(f"b{i + 1} {nums}\n")
-
-
-def bgf_text(group: BieberbachGroup) -> str:
-    buf = io.StringIO()
-    write_bgf(group, buf)
-    return buf.getvalue()
 
 
 def read_bgf(stream) -> BieberbachGroup:

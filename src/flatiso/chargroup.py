@@ -38,11 +38,6 @@ def check_mask(mask: int, k: int) -> None:
         raise ValueError(f"mask {mask} is not a {k}-bit character mask")
 
 
-def evaluate(chi: int, f: int) -> int:
-    """Pairing chi(f) in {+1, -1}: parity of the intersection of the index sets."""
-    return -1 if (chi & f).bit_count() & 1 else 1
-
-
 def product(chis: Iterable[int]) -> int:
     """Product of characters = XOR of masks; empty product is the trivial character."""
     out = 0

@@ -166,30 +166,3 @@ def _line_pairs(q, support) -> int:
 def minimal_generator_count(rep: DiagonalRep) -> int:
     """Cardinality of a minimal generating set of the invariant algebra."""
     return sum(primitive_counts(rep))
-
-
-# -- Lefschetz structure -----------------------------------------------------
-
-def lefschetz_multiplicities(betti, n: int) -> dict[int, int]:
-    """Multiplicities of the irreducible sl2-modules on the cohomology of a
-    Kaehler manifold: the module of dimension d = n/2 - p + 1 occurs
-    beta_p - beta_{p-2} times (0 <= p <= n/2).  Zero entries are omitted.
-
-    Raises if the Betti vector is not symmetric (no Poincare duality) or if
-    some difference is negative (hard Lefschetz fails: the input cannot come
-    from a Kaehler manifold).
-    """
-    betti = tuple(betti)
-    if n % 2 or len(betti) != n + 1:
-        raise ValueError("need even n and a Betti vector of length n+1")
-    if any(betti[p] != betti[n - p] for p in range(n + 1)):
-        raise ValueError("Betti vector is not Poincare symmetric")
-    out = {}
-    for p in range(n // 2 + 1):
-        m = betti[p] - (betti[p - 2] if p >= 2 else 0)
-        if m < 0:
-            raise ValueError(f"hard Lefschetz fails at degree {p}: "
-                             f"beta_{p} < beta_{p - 2} (non-Kaehler input)")
-        if m:
-            out[n // 2 - p + 1] = m
-    return out

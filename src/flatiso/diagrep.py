@@ -141,11 +141,10 @@ def contains_minus_identity(rep: DiagonalRep) -> bool:
 
 
 def is_orientable(rep: DiagonalRep) -> bool:
-    """True iff every generator has determinant +1: sum_{I containing j} q_I even."""
-    for j in range(rep.k):
-        if sum(v for m, v in enumerate(rep.q) if m >> j & 1) % 2:
-            return False
-    return True
+    """True iff every generator f_j has determinant +1, that is negates an
+    even number n - n_B(f_j) of coordinates."""
+    fixed = fixed_dims(rep)
+    return all((rep.n - fixed[1 << j]) % 2 == 0 for j in range(rep.k))
 
 
 def kahler_class(rep: DiagonalRep) -> str:

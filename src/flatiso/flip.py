@@ -6,12 +6,15 @@ classes of (chi(g1), chi(g2)); each class has exactly 2^{k-2} members.  With
 
     u = 2^{-(k-2)} * ( sum_{chi(g2)=-1, chi(g1)=+1} q_chi
                      - sum_{chi(g1)=-1, chi(g2)=+1} q_chi )
+      = (s(g1) - s(g2)) / 2^{k-2},
 
-the flip adds u to every multiplicity in the (-1 at g1, +1 at g2) class and
-subtracts u in the opposite class.  When u is an integer and no multiplicity
-goes negative, the result is again a diagonal representation; it swaps the
-fixed-space dimensions at g1 and g2 and preserves all the others, so the two
-representations are almost-conjugate.
+where s(g) is the fixed-space dimension at g (the (+1, +1) class counts
+towards both), the flip adds u to every multiplicity in the
+(-1 at g1, +1 at g2) class and subtracts u in the opposite class.  When u
+is an integer and no multiplicity goes negative, the result is again a
+diagonal representation; it swaps the fixed-space dimensions at g1 and g2
+and preserves all the others, so the two representations are
+almost-conjugate.
 
 Inapplicability (non-integer u, or a negative adjusted multiplicity) is
 returned as data rather than raised: searches iterate flips over many
@@ -23,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chargroup import check_mask, evaluate
-from .diagrep import DiagonalRep
+from .chargroup import check_mask
+from .diagrep import DiagonalRep, fixed_dims
 
 NON_INTEGER_SHIFT = "non-integer u"
 NEGATIVE_MULTIPLICITY = "negative multiplicity"
@@ -49,26 +52,16 @@ DEFAULT_SPEC = FlipSpec(1, 2)
 
 
 def _delta(mask: int, spec: FlipSpec) -> int:
-    s1, s2 = evaluate(mask, spec.g1), evaluate(mask, spec.g2)
-    if s1 == -1 and s2 == 1:
-        return 1
-    if s2 == -1 and s1 == 1:
-        return -1
-    return 0
+    """+1 on the (-1 at g1, +1 at g2) class, -1 on the opposite one, else 0."""
+    return ((mask & spec.g1).bit_count() & 1) - ((mask & spec.g2).bit_count() & 1)
 
 
 def flip_shift(rep: DiagonalRep, spec: FlipSpec = DEFAULT_SPEC) -> Fraction:
     """The shift u as an exact rational (integrality is the applicability test)."""
     check_mask(spec.g1, rep.k)
     check_mask(spec.g2, rep.k)
-    plus = minus = 0
-    for m, v in enumerate(rep.q):
-        d = _delta(m, spec)
-        if d == 1:
-            plus += v
-        elif d == -1:
-            minus += v
-    return Fraction(minus - plus, 1 << (rep.k - 2))
+    fixed = fixed_dims(rep)
+    return Fraction(fixed[spec.g1] - fixed[spec.g2], 1 << (rep.k - 2))
 
 
 @dataclass(frozen=True)

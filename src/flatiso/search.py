@@ -300,15 +300,6 @@ def families_to_json(cfg: SearchConfig, families) -> str:
     return json.dumps(payload, indent=1)
 
 
-def families_from_json(text: str) -> list[Family]:
-    data = json.loads(text)
-    runs = data if isinstance(data, list) else [data]
-    return [Family(run["k"], run["n"], tuple(fam["pattern"]),
-                   tuple(FamilyMember(tuple(m["q"]), tuple(m["prim"]), tuple(m["betti"]))
-                         for m in fam["members"]))
-            for run in runs for fam in run["families"]]
-
-
 def families_to_csv(families) -> str:
     buf = io.StringIO()
     if not families:

@@ -24,8 +24,16 @@ monomial spans as {degree: frozenset} dicts with empty degrees dropped, and
 lefschetz_operator_multiplicities recomputes the sl2 multiplicities from
 exact ranks of the Lefschetz operator.  Each takes a group, laid out by its
 own coord_chars, or a representation, laid out by coordinate_characters.
+The closed-form sl2 multiplicities from a Betti vector
+(lefschetz_multiplicities) sit next to that operator check.
+
+The character pairing as a sign (evaluate), the JSON reader of enumeration
+output (families_from_json) and BGF text as a string (bgf_text) are here
+too: only the tests use them.
 """
 
+import io
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -34,11 +42,17 @@ from typing import Iterator
 
 import numpy as np
 
-from flatiso.bieberbach import BieberbachGroup, is_torsion_free
+from flatiso.bieberbach import BieberbachGroup, is_torsion_free, write_bgf
 from flatiso.chargroup import (MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank,
-                               circuits_within, display_order, evaluate, product)
+                               circuits_within, display_order, product)
 from flatiso.diagrep import DiagonalRep, coordinate_characters, is_display_representative
 from flatiso.errors import CapabilityError
+from flatiso.search import Family, FamilyMember
+
+
+def evaluate(chi: int, f: int) -> int:
+    """Pairing chi(f) in {+1, -1}: parity of the intersection of the index sets."""
+    return -1 if (chi & f).bit_count() & 1 else 1
 
 
 def brute_betti(rep):
@@ -128,16 +142,17 @@ def primitive_count_p4_k3(rep):
             + q3 * q13 * q23 * q123)
 
 
-def derive_element_translations(group: BieberbachGroup) -> dict[int, tuple[int, ...]]:
-    """Numerators of b_I for every element mask I (mod-1 sums, i.e. XOR)."""
-    n = group.n
-    out = {0: (0,) * n}
+@lru_cache(maxsize=8)
+def derive_element_translations(group: BieberbachGroup) -> tuple[tuple[int, ...], ...]:
+    """Numerators of b_I for every element mask I (mod-1 sums, i.e. XOR),
+    indexed by mask.  Cached, so that half_fixed_count over every element
+    of a large group derives them once."""
+    out = [(0,) * group.n]
     for mask in range(1, 1 << group.k):
         low = mask & -mask
-        prev = out[mask ^ low]
         gen = group.gen_translations[low.bit_length() - 1]
-        out[mask] = tuple(a ^ b for a, b in zip(prev, gen))
-    return out
+        out.append(tuple(a ^ b for a, b in zip(out[mask ^ low], gen)))
+    return tuple(out)
 
 
 def element_translation(group, mask):
@@ -293,6 +308,31 @@ def lefschetz_operator_multiplicities(source) -> dict[int, int]:
         below = _exact_rank(l_matrix(p - 2)) if p >= 2 else 0
         if prim := len(bases[p]) - below:
             out[n // 2 - p + 1] = prim
+    return out
+
+
+def lefschetz_multiplicities(betti, n: int) -> dict[int, int]:
+    """Multiplicities of the irreducible sl2-modules on the cohomology of a
+    Kaehler manifold: the module of dimension d = n/2 - p + 1 occurs
+    beta_p - beta_{p-2} times (0 <= p <= n/2).  Zero entries are omitted.
+
+    Raises if the Betti vector is not symmetric (no Poincare duality) or if
+    some difference is negative (hard Lefschetz fails: the input cannot come
+    from a Kaehler manifold).
+    """
+    betti = tuple(betti)
+    if n % 2 or len(betti) != n + 1:
+        raise ValueError("need even n and a Betti vector of length n+1")
+    if any(betti[p] != betti[n - p] for p in range(n + 1)):
+        raise ValueError("Betti vector is not Poincare symmetric")
+    out = {}
+    for p in range(n // 2 + 1):
+        m = betti[p] - (betti[p - 2] if p >= 2 else 0)
+        if m < 0:
+            raise ValueError(f"hard Lefschetz fails at degree {p}: "
+                             f"beta_{p} < beta_{p - 2} (non-Kaehler input)")
+        if m:
+            out[n // 2 - p + 1] = m
     return out
 
 
@@ -524,3 +564,23 @@ def class_levels_reference(k: int, n_max: int) -> list[list[tuple[int, ...]]]:
         levels.append(children)
         level = children
     return levels
+
+
+# -- output readers and writers ----------------------------------------------
+
+
+def families_from_json(text: str) -> list[Family]:
+    """The families of search.families_to_json output, one run or a list."""
+    data = json.loads(text)
+    runs = data if isinstance(data, list) else [data]
+    return [Family(run["k"], run["n"], tuple(fam["pattern"]),
+                   tuple(FamilyMember(tuple(m["q"]), tuple(m["prim"]), tuple(m["betti"]))
+                         for m in fam["members"]))
+            for run in runs for fam in run["families"]]
+
+
+def bgf_text(group: BieberbachGroup) -> str:
+    """The BGF text write_bgf writes for the group."""
+    buf = io.StringIO()
+    write_bgf(group, buf)
+    return buf.getvalue()

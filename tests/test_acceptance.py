@@ -15,10 +15,10 @@ import time
 import goldens
 from conftest import random_rep
 from oracles import (automorphism_table, brute_betti, brute_block_matching, invariant_span,
-                     primitive_basis, sunada_from_columns, wedge_span)
+                     lefschetz_multiplicities, primitive_basis, sunada_from_columns,
+                     wedge_span)
 from flatiso import bieberbach, search
-from flatiso.cohomology import (betti_numbers, lefschetz_multiplicities,
-                                minimal_generator_count, primitive_counts)
+from flatiso.cohomology import betti_numbers, minimal_generator_count, primitive_counts
 from flatiso.diagrep import (DiagonalRep, are_equivalent, fixed_dims, is_faithful,
                              is_orientable, kahler_class, pattern)
 from flatiso.flip import FlipSpec, apply_flip

@@ -5,11 +5,11 @@ import time
 from functools import partial
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import goldens
 from conftest import diagonal_reps, random_rep
-from oracles import (derive_element_translations, element_translation,
+from oracles import (bgf_text, derive_element_translations, element_translation,
                      find_translations_reference, half_fixed_count, sunada_from_columns,
                      torsion_free_translations_exist)
 from flatiso import bieberbach
@@ -106,6 +106,17 @@ def groups(draw, max_k=4, max_n=10):
     return BieberbachGroup(k, tuple(chars), rows)
 
 
+def _large_group(seed):
+    """A group at k = 12, n = 30, far past groups(): random characters (the
+    trivial one included) and a random tag per coordinate.  Seed 0 gives a
+    torsion-free group, seed 3 one whose least witness is 1322."""
+    rng = random.Random(seed)
+    k, n = 12, 30
+    chars = tuple(rng.randrange(1 << k) for _ in range(n))
+    tags = [rng.randrange(1 << k) for _ in range(n)]
+    return BieberbachGroup(k, chars, tuple(tuple(tag >> i & 1 for tag in tags) for i in range(k)))
+
+
 def _heads(group):
     """Per block, the tags of its coordinates in order, without trailing zeros."""
     heads = {}
@@ -118,6 +129,8 @@ def _heads(group):
 
 
 @given(groups())
+@example(_large_group(0))
+@example(_large_group(3))
 @settings(max_examples=300)
 def test_tag_pairs_match_xor_reference(g):
     # the Sunada table and torsion check read off (character, tag) pairs, against
@@ -290,7 +303,7 @@ def _search_text(search, rep):
         group = search(rep)
     except ValueError as exc:
         return f"ValueError: {exc}"
-    return None if group is None else bieberbach.bgf_text(group)
+    return None if group is None else bgf_text(group)
 
 
 @given(diagonal_reps(max_k=3, max_n=10))
@@ -370,7 +383,7 @@ b4 0 1 0 0 0 0 0 0 0 0 0 0 0
 def test_find_translations_slow_solution_is_kept():
     # about 1 s in the plain search, which found this group
     group, seconds = _timed_search(DiagonalRep(4, (0, 0, 1, 0, 1, 0, 0, 0, 6, 2, 0, 1, 1, 0, 1, 0)))
-    assert bieberbach.bgf_text(group) == K4_SLOW_BGF and seconds < 1
+    assert bgf_text(group) == K4_SLOW_BGF and seconds < 1
 
 
 # a block of three coordinates: the only inputs seen where capping each generator at
@@ -397,12 +410,12 @@ def test_find_translations_block_of_three():
     for mask in (5, 23, 29, 31):
         q[mask] = 1
     group = find_translations(DiagonalRep(5, tuple(q)))
-    assert bieberbach.bgf_text(group) == K5_BLOCK3_BGF
+    assert bgf_text(group) == K5_BLOCK3_BGF
 
 
 def test_bgf_roundtrip():
     for group in (*construct_main_pair(3, 8), construct_family24(2), *construct_dim7_pair()):
-        text = bieberbach.bgf_text(group)
+        text = bgf_text(group)
         back = read_bgf(io.StringIO(text))
         assert back == group
         assert sunada_table(back) == sunada_table(group)
@@ -410,7 +423,7 @@ def test_bgf_roundtrip():
 
 def test_bgf_exact_format():
     gamma, _ = construct_main_pair(3, 8)
-    lines = bieberbach.bgf_text(gamma).splitlines()
+    lines = bgf_text(gamma).splitlines()
     assert lines[0] == "BGF1"
     assert lines[1] == "k=3 n=8"
     assert lines[2] == "B1 - - + + + + + +"
@@ -420,7 +433,7 @@ def test_bgf_exact_format():
 
 def test_bgf_accepts_trailing_comments():
     gamma, _ = construct_main_pair(3, 8)
-    text = bieberbach.bgf_text(gamma) + "# a remark\n\n# another\n"
+    text = bgf_text(gamma) + "# a remark\n\n# another\n"
     assert read_bgf(io.StringIO(text)) == gamma
 
 
@@ -436,7 +449,7 @@ def test_bgf_accepts_trailing_comments():
 def test_bgf_rejects_malformed(mangle):
     gamma, _ = construct_main_pair(3, 8)
     with pytest.raises(ValueError):
-        read_bgf(io.StringIO(mangle(bieberbach.bgf_text(gamma))))
+        read_bgf(io.StringIO(mangle(bgf_text(gamma))))
 
 
 def test_sunada_table_text_suppresses_identity():

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatiso import chargroup
-from flatiso.chargroup import (circuits_within, evaluate, f2_rank, mask_from_indices, product,
-                               walsh)
+from flatiso.chargroup import circuits_within, f2_rank, mask_from_indices, product, walsh
 from flatiso.errors import CapabilityError
-from oracles import automorphism_count, automorphism_table, automorphisms, circuits
+from oracles import automorphism_count, automorphism_table, automorphisms, circuits, evaluate
 
 
 def mask(*indices, k=3):

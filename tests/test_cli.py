@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from oracles import families_from_json
 from flatiso import bieberbach, search
 from flatiso.cli import run
 
@@ -26,7 +27,7 @@ def test_tables_id_1():
 def test_enumerate_json_round_trip():
     code, out, err = invoke("enumerate", "--k", "3", "--n", "8", "--format", "json")
     assert code == 0 and not err
-    fams = search.families_from_json(out)
+    fams = families_from_json(out)
     cfg = search.SearchConfig(k=3, n=8)
     assert fams == search.enumerate_families(cfg)
     payload = json.loads(out)

@@ -7,11 +7,11 @@ import goldens
 from conftest import random_rep
 from oracles import (automorphism_table, block_dp_betti, brute_betti, brute_block_matching,
                      circuit_sum_primitive_counts, decomposition_check, invariant_basis,
-                     invariant_span, lefschetz_operator_multiplicities, molien_betti,
-                     primitive_basis, primitive_count_p4_k3, wedge_span)
+                     invariant_span, lefschetz_multiplicities,
+                     lefschetz_operator_multiplicities, molien_betti, primitive_basis,
+                     primitive_count_p4_k3, wedge_span)
 from flatiso import bieberbach
-from flatiso.cohomology import (betti_numbers, lefschetz_multiplicities,
-                                minimal_generator_count, primitive_counts)
+from flatiso.cohomology import betti_numbers, minimal_generator_count, primitive_counts
 from flatiso.diagrep import (DiagonalRep, coordinate_characters, fixed_dims, is_orientable,
                              kahler_class, pattern)
 from flatiso.errors import CapabilityError

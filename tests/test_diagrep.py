@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import diagonal_reps, random_rep
-from oracles import _mask_images, automorphism_table, automorphisms
+from oracles import _mask_images, automorphism_table, automorphisms, evaluate
 from flatiso import chargroup, diagrep
 from flatiso.diagrep import (DiagonalRep, are_equivalent, canonical_form,
                              contains_minus_identity, display_representative,
@@ -62,6 +62,13 @@ def test_is_orientable():
     assert is_orientable(rep3(2, 2, 2, 0, 0, 2, 0))
     assert not is_orientable(rep3(3, 1, 1, 1, 0, 1, 0))
     assert is_orientable(DiagonalRep(2, (5, 0, 0, 0)))
+
+
+@given(diagonal_reps(max_k=5, max_n=20))
+def test_is_orientable_is_generator_parity(rep):
+    # generator f_j has determinant (-1)^(sum of q_I over the I containing j)
+    assert is_orientable(rep) == all(
+        sum(v for m, v in enumerate(rep.q) if m >> j & 1) % 2 == 0 for j in range(rep.k))
 
 
 def test_kahler_class():
@@ -130,7 +137,7 @@ def test_rep_validation():
 @given(diagonal_reps(max_k=5, max_n=20))
 def test_fixed_dims_are_fixed_character_sums(rep):
     assert fixed_dims(rep) == tuple(
-        sum(v for m, v in enumerate(rep.q) if chargroup.evaluate(m, f) == 1)
+        sum(v for m, v in enumerate(rep.q) if evaluate(m, f) == 1)
         for f in range(1 << rep.k))
 
 

@@ -1,8 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_rep
+from conftest import diagonal_reps, random_rep
+from oracles import evaluate
 from flatiso import diagrep
 from flatiso.diagrep import DiagonalRep, fixed_dims, pattern
 from flatiso.flip import FlipSpec, NEGATIVE_MULTIPLICITY, NON_INTEGER_SHIFT, apply_flip, flip_shift
@@ -16,6 +19,24 @@ def test_flip_shift_examples():
     assert flip_shift(rep3(2, 2, 2, 0, 0, 2, 0)) == 1
     assert flip_shift(rep3(3, 1, 1, 1, 0, 1, 0)) == Fraction(-1, 2)
     assert flip_shift(rep3(3, 1, 1, 1, 0, 1, 0), FlipSpec(1, 4)) == -1
+
+
+def _class_sum_shift(rep, spec):
+    """u from the sign classes: the (+1 at g1, -1 at g2) class less the
+    (-1 at g1, +1 at g2) class, over 2^(k-2)."""
+    signs = [(evaluate(m, spec.g1), evaluate(m, spec.g2)) for m in range(1 << rep.k)]
+    minus = sum(v for v, sign in zip(rep.q, signs) if sign == (1, -1))
+    plus = sum(v for v, sign in zip(rep.q, signs) if sign == (-1, 1))
+    return Fraction(minus - plus, 1 << (rep.k - 2))
+
+
+@given(diagonal_reps(max_k=5, max_n=20).filter(lambda rep: rep.k >= 2))
+@settings(max_examples=60)
+def test_flip_shift_is_the_sign_class_sum(rep):
+    # q_0 is free here, and every ordered pair of distinct nonzero elements is a spec
+    for g1, g2 in itertools.permutations(range(1, 1 << rep.k), 2):
+        spec = FlipSpec(g1, g2)
+        assert flip_shift(rep, spec) == _class_sum_shift(rep, spec)
 
 
 def test_apply_flip_dim8_pair():

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import goldens
-from oracles import automorphism_table, class_levels_reference
+from oracles import automorphism_table, class_levels_reference, families_from_json
 from flatiso import diagrep, search
 from flatiso.diagrep import DiagonalRep
 from flatiso.errors import CapabilityError
 from flatiso.search import (SearchConfig, enumerate_families,
-                            families_from_json, families_to_csv, families_to_json,
+                            families_to_csv, families_to_json,
                             families_to_text, flip_coverage_report,
                             one_flip_reachable, reproduce_table)
 
