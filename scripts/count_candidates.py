@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Count, per level, the work search.class_levels(K, N) does on one worker.
+
+For each dimension n = 1..N it prints
+
+  parents     classes of dimension n - 1
+  candidates  vectors x + e_c, c at or after the parent's last nonzero
+              display position (position 1 for the zero vector)
+  fail_check  candidates without greedy singletons (some q[2^j] below
+              max(q[2^j:])), which is_display_representative rejects first
+  built       candidates whose order type is computed (diagrep.order_type)
+  tests       canonicity tests run (diagrep.is_display_representative)
+  classes     classes of dimension n
+  wall_s      seconds the level took in a separate run without the counters
+
+candidates and fail_check are computed here from the parents, so they do
+not depend on the code measured; built and tests are counted by wrapping
+the two diagrep functions from outside the package.  Run it with the
+checkout's src/ on the path, once per checkout, to compare two versions:
+
+    PYTHONPATH=src python3 scripts/count_candidates.py 3 18
+"""
+
+import json
+import sys
+import time
+
+from flatiso import diagrep, search
+from flatiso.chargroup import display_order
+
+COLUMNS = ("n", "parents", "candidates", "fail_check", "built", "tests", "classes", "wall_s")
+
+
+def _level_times(k, n_max):
+    times, start = [], time.perf_counter()
+    for _ in search.class_levels(k, n_max):
+        now = time.perf_counter()
+        times.append(now - start)
+        start = now
+    return times
+
+
+def _fails_check(k, y):
+    return any(y[1 << j] < max(y[1 << j:]) for j in range(k))
+
+
+def count(k, n_max):
+    """One dict per level with the COLUMNS, and the whole call's wall time
+    measured without the counters."""
+    times = _level_times(k, n_max)
+    calls = {"built": 0, "tests": 0}
+    order_type, test = diagrep.order_type, diagrep.is_display_representative
+
+    def counted_order_type(q):
+        calls["built"] += 1
+        return order_type(q)
+
+    def counted_test(rank, q):
+        calls["tests"] += 1
+        return test(rank, q)
+
+    diagrep.order_type, diagrep.is_display_representative = counted_order_type, counted_test
+    order = display_order(k)
+    rows, parents = [], [(0,) * (1 << k)]
+    try:
+        for (n, level), wall in zip(search.class_levels(k, n_max), times):
+            candidates = fail = 0
+            for x in parents:
+                last = max((i for i, m in enumerate(order) if x[m]), default=1)
+                for c in order[last:]:
+                    candidates += 1
+                    fail += _fails_check(k, x[:c] + (x[c] + 1,) + x[c + 1:])
+            rows.append(dict(n=n, parents=len(parents), candidates=candidates,
+                             fail_check=fail, built=calls["built"], tests=calls["tests"],
+                             classes=len(level), wall_s=round(wall, 4)))
+            calls.update(built=0, tests=0)
+            parents = level
+    finally:
+        diagrep.order_type, diagrep.is_display_representative = order_type, test
+    return rows, round(sum(times), 4)
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit("usage: count_candidates.py K N")
+    k, n_max = map(int, argv)
+    rows, wall = count(k, n_max)
+    print(" ".join(f"{c:>10}" for c in COLUMNS))
+    for row in rows:
+        print(" ".join(f"{row[c]:>10}" for c in COLUMNS))
+    totals = {c: sum(row[c] for row in rows) for c in COLUMNS[1:-1]}
+    print(json.dumps(dict(k=k, n_max=n_max, **totals, wall_s=wall)))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

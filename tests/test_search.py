@@ -4,11 +4,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import goldens
+from conftest import diagonal_reps
 from oracles import automorphism_table, class_levels_reference, families_from_json
 from flatiso import diagrep, search
-from flatiso.diagrep import DiagonalRep
+from flatiso.chargroup import display_order
+from flatiso.diagrep import DiagonalRep, display_representative
 from flatiso.errors import CapabilityError
 from flatiso.search import (SearchConfig, enumerate_families,
                             families_to_csv, families_to_json,
@@ -207,6 +210,46 @@ def test_class_levels_match_memo_free_reference(monkeypatch, k, n_max, workers, 
     got = list(search.class_levels(k, n_max, workers))
     assert [n for n, _ in got] == list(range(1, n_max + 1))
     assert [level for _, level in got] == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_k5_class_levels_match_memo_free_reference(monkeypatch, workers):
+    # the parent-side singleton check's bit arithmetic on 5-bit masks
+    test_class_levels_match_memo_free_reference(monkeypatch, 5, 9, workers, workers)
+
+
+def greedy_singletons(k, y):
+    return not any(y[1 << j] < max(y[1 << j:]) for j in range(k))
+
+
+@given(diagonal_reps(max_k=5, max_n=12, q0_zero=True))
+@settings(max_examples=60)
+def test_parent_side_singleton_check_matches_child_check(rep):
+    # every candidate of a display representative x, from its last nonzero
+    # display position on: the check read off x agrees with the child's own
+    k, x = rep.k, display_representative(rep).q
+    order = display_order(k)
+    last = max(i for i, m in enumerate(order) if x[m])
+    for c in order[last:]:
+        y = x[:c] + (x[c] + 1,) + x[c + 1:]
+        assert search._keeps_singletons(x, c) == greedy_singletons(k, y)
+
+
+@pytest.mark.parametrize("k, n_max, classes, tests", [(3, 18, 4296, 550), (4, 9, 423, 527)])
+def test_canonicity_tests_only_see_greedy_singletons(monkeypatch, k, n_max, classes, tests):
+    # the parent-side check leaves the canonicity test no candidate it would
+    # reject at its own first check; the counts pin the tests one call runs
+    seen = []
+    test = diagrep.is_display_representative
+
+    def counted(rank, y):
+        seen.append(y)
+        return test(rank, y)
+
+    monkeypatch.setattr(diagrep, "is_display_representative", counted)
+    assert sum(len(level) for _, level in search.class_levels(k, n_max)) == classes
+    assert len(seen) == tests
+    assert all(greedy_singletons(k, y) for y in seen)
 
 
 def test_json_round_trip():
