@@ -7,16 +7,20 @@ For each dimension n = 1..N it prints
   candidates  vectors x + e_c, c at or after the parent's last nonzero
               display position (position 1 for the zero vector)
   fail_check  candidates without greedy singletons (some q[2^j] below
-              max(q[2^j:])), which is_display_representative rejects first
+              max(q[2^j:])), which diagrep.display_automorphisms rejects first
+  blocked     candidates with greedy singletons dropped by the parent's
+              automorphisms, that is candidates - fail_check - built
   built       candidates whose order type is computed (diagrep.order_type)
-  tests       canonicity tests run (diagrep.is_display_representative)
+  tests       canonicity tests run (diagrep.display_automorphisms)
   classes     classes of dimension n
   wall_s      seconds the level took in a separate run without the counters
 
 candidates and fail_check are computed here from the parents, so they do
 not depend on the code measured; built and tests are counted by wrapping
 the two diagrep functions from outside the package.  Run it with the
-checkout's src/ on the path, once per checkout, to compare two versions:
+checkout's src/ on the path, once per checkout, to compare two versions
+(a checkout whose search calls is_display_representative instead needs its
+own copy of this script, or tests reads 0):
 
     PYTHONPATH=src python3 scripts/count_candidates.py 3 18
 """
@@ -28,7 +32,8 @@ import time
 from flatiso import diagrep, search
 from flatiso.chargroup import display_order
 
-COLUMNS = ("n", "parents", "candidates", "fail_check", "built", "tests", "classes", "wall_s")
+COLUMNS = ("n", "parents", "candidates", "fail_check", "blocked", "built", "tests", "classes",
+           "wall_s")
 
 
 def _level_times(k, n_max):
@@ -49,7 +54,7 @@ def count(k, n_max):
     measured without the counters."""
     times = _level_times(k, n_max)
     calls = {"built": 0, "tests": 0}
-    order_type, test = diagrep.order_type, diagrep.is_display_representative
+    order_type, test = diagrep.order_type, diagrep.display_automorphisms
 
     def counted_order_type(q):
         calls["built"] += 1
@@ -59,7 +64,7 @@ def count(k, n_max):
         calls["tests"] += 1
         return test(rank, q)
 
-    diagrep.order_type, diagrep.is_display_representative = counted_order_type, counted_test
+    diagrep.order_type, diagrep.display_automorphisms = counted_order_type, counted_test
     order = display_order(k)
     rows, parents = [], [(0,) * (1 << k)]
     try:
@@ -71,12 +76,13 @@ def count(k, n_max):
                     candidates += 1
                     fail += _fails_check(k, x[:c] + (x[c] + 1,) + x[c + 1:])
             rows.append(dict(n=n, parents=len(parents), candidates=candidates,
-                             fail_check=fail, built=calls["built"], tests=calls["tests"],
+                             fail_check=fail, blocked=candidates - fail - calls["built"],
+                             built=calls["built"], tests=calls["tests"],
                              classes=len(level), wall_s=round(wall, 4)))
             calls.update(built=0, tests=0)
             parents = level
     finally:
-        diagrep.order_type, diagrep.is_display_representative = order_type, test
+        diagrep.order_type, diagrep.display_automorphisms = order_type, test
     return rows, round(sum(times), 4)
 
 

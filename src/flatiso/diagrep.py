@@ -171,7 +171,7 @@ def kahler_class(rep: DiagonalRep) -> str:
 # is an ordered basis c_0..c_{k-1} (c_j = img(2^j)) and maps q to q[img].
 # The search fixes the columns one at a time and prunes on what is known
 # (Linton, "Finding the smallest image of a set", ISSAC 2004).  It yields
-# each leaf that improves on the ones before it; is_display_representative
+# each leaf that improves on the ones before it; display_automorphisms
 # stops at the second such leaf, or at a first one that is not the identity,
 # since either reads q larger.
 
@@ -214,16 +214,19 @@ def _least_image(k: int, w, keys, offsets):
     """Yield, in search order, every automorphism img (img[m] for every mask
     m) whose key [w[img[m]] for m in keys] is lexicographically less than the
     keys of all leaves before it.  The last one yielded reads the least key.
+    The generator returns the automorphisms g of w it found (w[g[m]] = w[m]
+    for every m), each as the list of images g[m].
 
     Level j picks the column c_j outside the span of c_0..c_{j-1}; the masks
     below 2^(j+1) are then known.  Of the columns, only those with the least
     values at the masks 2^j | m, m in offsets[j], are kept.  A node is cut
     when its known key values, the unknown positions filled with the values
-    left over in ascending order, cannot beat the best key found.  Two leaves
-    with equal keys give an automorphism of w fixing the columns they share:
-    the later subtree at the level they part is abandoned, and a column in
-    one orbit with an explored one, under the automorphisms found that fix
-    the columns above it, is skipped.
+    left over in ascending order, cannot reach the best key found; a node
+    that can still tie it is explored.  Two leaves with equal keys give an
+    automorphism of w fixing the columns they share: the later subtree at
+    the level they part is abandoned, and a column in one orbit with an
+    explored one, under the automorphisms found that fix the columns above
+    it, is skipped.
 
     Columns are tried in ascending order, and the identity's column 2^j is
     the least mask outside the span 0..2^j - 1, so the first leaf is the
@@ -253,7 +256,7 @@ def _least_image(k: int, w, keys, offsets):
                     if v is not None:
                         tail.remove(v)
                 fill = iter(tail)
-                if [next(fill) if v is None else v for v in known[i:]] >= least[i:]:
+                if [next(fill) if v is None else v for v in known[i:]] > least[i:]:
                     return None
         inside = set(span)
         cands = [c for c in range(1, size) if c not in inside]
@@ -273,8 +276,8 @@ def _least_image(k: int, w, keys, offsets):
         for c in cands:
             if explored and len(autos) > used:
                 used, cols = len(autos), [span[1 << i] for i in range(j)]
-                labels = _orbit_labels(size, [g for g in autos
-                                              if all(g[x] == x for x in cols)])
+                fixing = [g for g in autos if all(g[x] == x for x in cols)]
+                labels = _orbit_labels(size, fixing) if fixing else None
             # an orbit-mate of an explored column roots an equal subtree
             if labels is not None and labels[c] in {labels[e] for e in explored}:
                 continue
@@ -301,7 +304,8 @@ def _least_image(k: int, w, keys, offsets):
                     return d
         return None
 
-    return node(0, [0])
+    yield from node(0, [0])
+    return autos
 
 
 def _check_search_rank(k: int) -> None:
@@ -340,21 +344,26 @@ def _display_image(k: int, q: tuple[int, ...]) -> tuple[int, ...]:
 def order_type(q) -> bytes:
     """The dense rank of each entry of q among its distinct values, as bytes.
 
-    is_display_representative depends on q through its order type alone.
-    The singleton check and every step of the display search compare
-    entries with each other, never with a constant, and the search runs on
-    w = -q, which reverses each such comparison for every q alike.  So a
-    strictly increasing relabelling of the values leaves the answer as it is.
-    As bytes (ranks < 2^k <= 32) it is a third of a tuple's size, and the memo
-    of search.class_levels holds one per order type met: 116,051 at k = 4, n <= 20.
+    display_automorphisms depends on q through its order type alone.  The
+    singleton check and every step of the display search compare entries
+    with each other, never with a constant, and the search runs on w = -q,
+    which reverses each such comparison for every q alike.  So a strictly
+    increasing relabelling of the values leaves the verdict and the
+    automorphisms found as they are.  As bytes (ranks < 2^k <= 32) it is a
+    third of a tuple's size, and the memo of search.class_levels holds one
+    per order type met: 90,637 at k = 4, n <= 20.
     """
     s = sorted(set(q))
     return bytes(map(s.index, q))
 
 
-def is_display_representative(k: int, q: tuple[int, ...]) -> bool:
-    """Whether the multiplicity vector q (length 2^k) is its own
-    display_representative.  Same limit as display_representative.
+def display_automorphisms(k: int, q: tuple[int, ...]) -> list[list[int]] | None:
+    """None unless the multiplicity vector q (length 2^k) is its own
+    display_representative; else the automorphisms of q the display search
+    met, each as the list of images g[m], with q[g[m]] = q[m] for every m.
+    They generate a subgroup of the stabilizer of q; that it is all of it is
+    checked at k <= 4, n <= 10, not proved.  Same limit as
+    display_representative.
 
     A necessary check runs first: the display representative's singletons
     are greedy, so q[2^j] is the largest value at the masks outside the span
@@ -364,9 +373,20 @@ def is_display_representative(k: int, q: tuple[int, ...]) -> bool:
     """
     _check_search_rank(k)
     if any(q[1 << j] < max(q[1 << j:]) for j in range(k)):
-        return False
+        return None
     leaves = _least_image(k, [-v for v in q], *_reading(k, True))
-    return next(leaves) == list(range(1 << k)) and next(leaves, None) is None
+    if next(leaves) != list(range(1 << k)):
+        return None
+    try:
+        next(leaves)    # a later improving leaf reads q larger
+    except StopIteration as done:
+        return done.value
+    return None
+
+
+def is_display_representative(k: int, q: tuple[int, ...]) -> bool:
+    """Whether q is its own display_representative (display_automorphisms)."""
+    return display_automorphisms(k, q) is not None
 
 
 def _cheap_key(rep: DiagonalRep):

@@ -29,15 +29,33 @@ every j, and that is decided from the parent before the child is built.  x has
 them, so x[1] >= x[2] >= x[4] >= ..., and y = x + e_c can fail only at
 singletons 2^j < c, where it needs x[c] < x[2^j], and x[2^j] is least at t,
 the largest singleton below c: so y passes iff c = 1 or x[c] < x[t].  That
-drops 2,030 of the 7,281 candidates of class_levels(3, 18).  The rest go to
-the canonicity test, diagrep.is_display_representative, whose answer depends
-only on the child's order type, the dense ranks of its entries
-(diagrep.order_type): the 5,251 kept candidates have 550 order types, so one
-class_levels call keeps a memo from order type to verdict; there is none
-across calls.  Enumeration refuses up front, before any level is built, when
-its top level must hold more than CLASS_BUDGET classes: each orbit holds at
-most |GL(k, 2)| of the C(n + 2^k - 2, 2^k - 2) vectors of dimension n, so
-their quotient is at most the number of classes built there.
+drops 2,030 of the 7,281 candidates of class_levels(3, 18).
+
+A candidate is also dropped from its parent's automorphisms (the orbit
+pruning of augmentations: McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998).  Let g be a relabelling that fixes x, x[g[m]] =
+x[m] for every m.  Then (x + e_c)[g[m]] = x[m] + [g[m] = c], so the
+relabelling g reads x + e_c as x + e_d, d = g^-1(c), and as g runs over
+a group G of relabellings fixing x, d runs over the orbit of c under G.  If
+d sits at an earlier display position than c, that reading is larger: it
+agrees with x + e_c before d and holds one more unit at d.  So x + e_c is
+not its own display representative whenever the orbit of c under some
+such G holds a mask at an earlier display position.  The canonicity test
+returns the automorphisms its search met (diagrep.display_automorphisms);
+they need not generate the whole stabilizer of x, since any subgroup will
+do.  Each class carries the bitmask of the masks so blocked (_blocked), and
+that drops 863 more of the candidates above.
+
+The rest go to the canonicity test, whose answer, and the automorphisms it
+returns, depend only on the child's order type, the dense ranks of its
+entries (diagrep.order_type): the 4,388 kept candidates have 419 order
+types, so one class_levels call keeps a memo from order type to blocked
+bitmask (None for a rejected one); there is none across calls.
+
+Enumeration refuses up front, before any level is built, when its top
+level must hold more than CLASS_BUDGET classes: each orbit holds at most
+|GL(k, 2)| of the C(n + 2^k - 2, 2^k - 2) vectors of dimension n, so their
+quotient is at most the number of classes built there.
 
 Faithfulness and freedom from -Id are not inherited by parents, so they
 apply at the requested dimensions only, through the pattern that grouping
@@ -141,37 +159,54 @@ def _keeps_singletons(x, c: int) -> bool:
     return c == 1 or x[c] < x[1 << ((c - 1).bit_length() - 1)]
 
 
-def _children(k: int, parents, memo: dict) -> list[tuple[int, ...]]:
-    """The classes one unit above parents (display representatives), in
-    parent order; memo maps an order type to its canonicity verdict."""
+def _blocked(k: int, autos) -> int:
+    """The bitmask of the masks c that some relabelling in the group autos
+    generate sends to an earlier display position: x + e_c is then rejected,
+    x the vector autos fix (proof in the module docstring)."""
+    if not autos:
+        return 0
+    labels = diagrep._orbit_labels(1 << k, autos)
+    seen, blocked = set(), 0
+    for c in display_order(k):
+        if labels[c] in seen:
+            blocked |= 1 << c
+        seen.add(labels[c])
+    return blocked
+
+
+def _children(k: int, parents, memo: dict) -> list[tuple[tuple[int, ...], int]]:
+    """The classes one unit above parents, in parent order, as (display
+    representative, blocked) pairs like the parents; memo maps an order type
+    to its _blocked bitmask, or to None if it is rejected."""
     scan = display_order(k)[:0:-1]
     out = []
-    for x in parents:
+    for x, blocked in parents:
         found = []
         for c in scan:
-            if _keeps_singletons(x, c):
+            if not blocked >> c & 1 and _keeps_singletons(x, c):
                 found.append(c)
             if x[c]:
                 break
         for c in reversed(found):
             y = x[:c] + (x[c] + 1,) + x[c + 1:]
             key = diagrep.order_type(y)
-            keep = memo.get(key)
-            if keep is None:
-                keep = memo[key] = diagrep.is_display_representative(k, y)
-            if keep:
-                out.append(y)
+            if key not in memo:
+                autos = diagrep.display_automorphisms(k, y)
+                memo[key] = None if autos is None else _blocked(k, autos)
+            if memo[key] is not None:
+                out.append((y, memo[key]))
     return out
 
 
 def _descend(k: int, depth: int, parents) -> list[list[tuple[int, ...]]]:
-    """The depth levels below parents, each in parent order, under one memo.
-    Top-level function so that worker processes can receive it."""
+    """The classes of the depth levels below parents, each level in parent
+    order, under one memo.  Top-level function so that worker processes can
+    receive it."""
     memo: dict = {}
     levels = []
     for _ in range(depth):
         parents = _children(k, parents, memo)
-        levels.append(parents)
+        levels.append([y for y, _ in parents])
     return levels
 
 
@@ -180,21 +215,22 @@ def class_levels(k: int, n_max: int, workers: int = 1):
     multiplicity vectors with q_0 = 0 and dimension n, unfiltered, each as
     its display representative (a q tuple in numeric character order).
 
-    Canonicity verdicts are memoized by order type for the whole call.
+    Canonicity verdicts and blocked bitmasks are memoized by order type for
+    the whole call; levels carry (class, blocked) pairs inside.
     With workers > 1, levels are built here until one holds
     SUBTREES_PER_PROCESS classes per process (at most one process per CPU);
     that level is cut into SUBTREES_PER_PROCESS contiguous slices per
     process, and each process task builds every deeper level of one slice
     under a memo of its own."""
     memo: dict = {}
-    level = [(0,) * (1 << k)]
+    level = [((0,) * (1 << k), 0)]  # the zero vector, nothing blocked
     processes = min(workers, os.cpu_count() or 1)
     tasks = SUBTREES_PER_PROCESS * processes
     n = 0
     while n < n_max and (workers == 1 or len(level) < tasks):
         n += 1
         level = _children(k, level, memo)
-        yield n, level
+        yield n, [y for y, _ in level]
     if n == n_max:
         return
     step = -(-len(level) // tasks)

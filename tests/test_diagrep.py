@@ -382,6 +382,50 @@ def test_orbit_skip_keeps_symmetric_k5_search_small():
     assert min(seconds) < 0.05
 
 
+@pytest.mark.parametrize("q, display", [
+    # few zeros and no symmetry: the zeros sit at masks known only at the last level
+    ((1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1,
+      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1),
+     (1,) * 24 + (0, 1, 0, 0, 0, 0, 0)),
+    # the nonzero masks of a 4-dimensional subspace
+    (tuple(int(1 <= m <= 15) for m in range(32)),
+     (1, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
+], ids=["few-zeros", "subspace"])
+def test_slow_k5_display_inputs_stay_fast(q, display):
+    # the display search explores nodes that can tie the best leaf, so the
+    # tied leaves give automorphisms that skip orbit-mates; with a cut at
+    # ties these took 0.5-0.8 s and 0.3-0.4 s
+    rep = DiagonalRep(5, q)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        form = display_representative(rep)
+        seconds.append(time.perf_counter() - start)
+    assert form.to_display() == display
+    assert min(seconds) < 0.2
+
+
+@given(diagonal_reps(max_k=5, max_n=12))
+@example(DiagonalRep(5, (0,) + (1,) * 31))
+@example(DiagonalRep(5, tuple(int(m.bit_count() == 1) for m in range(32))))
+@example(DiagonalRep(5, tuple(int(1 <= m <= 15) for m in range(32))))
+@example(DiagonalRep(4, (0, 1, 1, 1) + (0,) * 12))
+@settings(max_examples=60)
+def test_display_automorphisms_fix_q_and_are_linear(rep):
+    # accepted: the display representative, whose automorphisms are
+    # relabellings that fix it; any other orbit member is rejected
+    k, size = rep.k, 1 << rep.k
+    q = display_representative(rep).q
+    autos = diagrep.display_automorphisms(k, q)
+    assert autos is not None
+    for g in autos:
+        assert sorted(g) == list(range(size))
+        assert all(q[g[m]] == q[m] for m in range(size))
+        assert all(g[a ^ b] == g[a] ^ g[b] for a in range(size) for b in range(size))
+    if rep.q != q:
+        assert diagrep.display_automorphisms(k, rep.q) is None
+
+
 def test_relabelling_search_rank_cap():
     rep = DiagonalRep(6, (0,) + (1,) * 63)
     for call in (canonical_form, display_representative, lambda r: are_equivalent(r, r),

@@ -235,21 +235,63 @@ def test_parent_side_singleton_check_matches_child_check(rep):
         assert search._keeps_singletons(x, c) == greedy_singletons(k, y)
 
 
-@pytest.mark.parametrize("k, n_max, classes, tests", [(3, 18, 4296, 550), (4, 9, 423, 527)])
+@pytest.mark.parametrize("k, n_max, classes, tests", [(3, 18, 4296, 419), (4, 9, 423, 246)])
 def test_canonicity_tests_only_see_greedy_singletons(monkeypatch, k, n_max, classes, tests):
     # the parent-side check leaves the canonicity test no candidate it would
     # reject at its own first check; the counts pin the tests one call runs
     seen = []
-    test = diagrep.is_display_representative
+    test = diagrep.display_automorphisms
 
     def counted(rank, y):
         seen.append(y)
         return test(rank, y)
 
-    monkeypatch.setattr(diagrep, "is_display_representative", counted)
+    monkeypatch.setattr(diagrep, "display_automorphisms", counted)
     assert sum(len(level) for _, level in search.class_levels(k, n_max)) == classes
     assert len(seen) == tests
     assert all(greedy_singletons(k, y) for y in seen)
+
+
+def generated_group(gens, size):
+    """Every product of the permutations gens, each a list of images."""
+    identity = tuple(range(size))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        h = frontier.pop()
+        for g in gens:
+            gh = tuple(g[m] for m in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_display_automorphisms_generate_the_stabilizer(k):
+    # every class of dimension <= 10: the automorphisms the canonicity test
+    # returns generate every relabelling that fixes q, found by brute force
+    table = automorphism_table(k)
+    for level in reference_levels(k, 10):
+        for q in level:
+            fixing = table[(np.array(q)[table] == q).all(axis=1)]
+            assert generated_group(diagrep.display_automorphisms(k, q), 1 << k) == \
+                set(map(tuple, fixing.tolist()))
+
+
+@pytest.mark.parametrize("k, n_max", [(3, 14), (4, 10), (5, 9)])
+def test_children_blocked_by_the_parent_are_rejected(k, n_max):
+    # every child x + e_c, for any c, that the parent's automorphisms block
+    # is rejected by the canonicity test; and blocking does drop some
+    dropped = 0
+    for level in reference_levels(k, n_max):
+        for x in level:
+            blocked = search._blocked(k, diagrep.display_automorphisms(k, x))
+            for c in range(1, 1 << k):
+                if blocked >> c & 1:
+                    dropped += 1
+                    y = x[:c] + (x[c] + 1,) + x[c + 1:]
+                    assert diagrep.display_automorphisms(k, y) is None
+    assert dropped > 0
 
 
 def test_json_round_trip():
