@@ -28,8 +28,9 @@ The closed-form sl2 multiplicities from a Betti vector
 (lefschetz_multiplicities) sit next to that operator check.
 
 The character pairing as a sign (evaluate), the JSON reader of enumeration
-output (families_from_json) and BGF text as a string (bgf_text) are here
-too: only the tests use them.
+output (families_from_json), BGF text as a string (bgf_text) and the
+canonicity verdict as a bool (is_display_representative) are here too: only
+the tests use them.
 """
 
 import io
@@ -45,7 +46,7 @@ import numpy as np
 from flatiso.bieberbach import BieberbachGroup, is_torsion_free, write_bgf
 from flatiso.chargroup import (MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank,
                                circuits_within, display_order, product)
-from flatiso.diagrep import DiagonalRep, coordinate_characters, is_display_representative
+from flatiso.diagrep import DiagonalRep, coordinate_characters, display_automorphisms
 from flatiso.errors import CapabilityError
 from flatiso.search import Family, FamilyMember
 
@@ -546,6 +547,11 @@ def torsion_free_translations_exist(rep: DiagonalRep) -> bool:
 
 
 # -- orderly class generation ------------------------------------------------
+
+
+def is_display_representative(k: int, q: tuple[int, ...]) -> bool:
+    """Whether q is its own display_representative (display_automorphisms)."""
+    return display_automorphisms(k, q) is not None
 
 
 def class_levels_reference(k: int, n_max: int) -> list[list[tuple[int, ...]]]:

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import diagonal_reps, random_rep
-from oracles import _mask_images, automorphism_table, automorphisms, evaluate
+from oracles import (_mask_images, automorphism_table, automorphisms, evaluate,
+                     is_display_representative)
 from flatiso import chargroup, diagrep
 from flatiso.diagrep import (DiagonalRep, are_equivalent, canonical_form,
                              contains_minus_identity, display_representative,
-                             fixed_dims, format_rep, is_display_representative,
-                             is_faithful, is_orientable, kahler_class, order_type,
-                             parse_rep, pattern)
+                             fixed_dims, format_rep, is_faithful, is_orientable,
+                             kahler_class, order_type, parse_rep, pattern)
 from flatiso.errors import CapabilityError
 
 
@@ -93,16 +93,17 @@ def test_are_equivalent_needs_matching_shape():
 def test_canonical_form_examples():
     a = rep3(2, 1, 0, 1, 0, 0, 0)
     b = rep3(1, 2, 0, 1, 0, 0, 0)
-    assert canonical_form(a) == canonical_form(b)
-    assert canonical_form(rep3(2, 1, 2, 0, 0, 2, 0)) == canonical_form(rep3(2, 2, 2, 1, 0, 0, 0))
-    c = canonical_form(TABLE1_PAIR[0])
-    assert canonical_form(c) == c
+    assert display_representative(a) == display_representative(b)
+    assert display_representative(rep3(2, 1, 2, 0, 0, 2, 0)) == \
+        display_representative(rep3(2, 2, 2, 1, 0, 0, 0))
+    c = display_representative(TABLE1_PAIR[0])
+    assert display_representative(c) == c
 
 
 def test_canonical_form_is_orbit_member():
-    r = rep3(3, 1, 1, 1, 0, 1, 0)
-    c = canonical_form(r)
-    assert are_equivalent(r, c)
+    r = rep3(1, 3, 1, 1, 0, 1, 0)
+    c = display_representative(r)
+    assert c != r and are_equivalent(r, c)
 
 
 def test_display_representative():
@@ -156,7 +157,7 @@ def test_equivalence_preserves_pattern(rep):
     other = DiagonalRep(rep.k, tuple(rep.q[img[m]] for m in range(1 << rep.k)))
     assert are_equivalent(rep, other)
     assert pattern(rep) == pattern(other)
-    assert canonical_form(rep) == canonical_form(other)
+    assert display_representative(rep) == display_representative(other)
 
 
 def test_equivalence_is_equivalence_relation(rng):
@@ -213,16 +214,61 @@ def orbit_readers(k):
 @example(DiagonalRep(4, (0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1)))
 @settings(max_examples=80)
 def test_orbit_extremes_match_brute_force(rep):
-    # the least q and the display-greatest q over the orbit, one automorphism
-    # at a time, against the pruned search; the display-greatest member is
-    # the only one that is its own display representative
+    # the display-greatest q over the orbit, one automorphism at a time,
+    # against the pruned search; the display-greatest member is the only one
+    # that is its own display representative
     numeric, display, order = orbit_readers(rep.k)
-    assert canonical_form(rep).q == min(read(rep.q) for read in numeric)
     greatest = max(read(rep.q) for read in display)
     assert tuple(display_representative(rep).q[m] for m in order) == greatest
     members = {num(rep.q): disp(rep.q) for num, disp in zip(numeric, display)}
     for member, reading in members.items():
         assert is_display_representative(rep.k, member) == (reading == greatest)
+
+
+@st.composite
+def shuffled_pairs(draw, max_k=4):
+    """A rep and a copy whose nonzero masks carry its multiplicities in an
+    arbitrary order, not necessarily a relabelling: the two share q_0 and
+    the multiset, so are_equivalent has to run the search."""
+    rep = draw(diagonal_reps(max_k=max_k, max_n=10))
+    masks = range(1, 1 << rep.k)
+    q = [rep.q[0]] + [0] * len(masks)
+    for m, image in zip(masks, draw(st.permutations(masks))):
+        q[image] = rep.q[m]
+    return rep, DiagonalRep(rep.k, tuple(q))
+
+
+# the k = 4, n = 7 almost-conjugate pair: equal patterns and multisets
+K4_N7_PAIR = (DiagonalRep.from_display(4, (2, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+              DiagonalRep.from_display(4, (2, 1, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0)))
+
+
+@given(shuffled_pairs())
+@example(K4_N7_PAIR)
+@example((rep3(2, 1, 0, 1, 0, 0, 0), rep3(1, 2, 0, 1, 0, 0, 0)))
+@example((DiagonalRep(4, (1,) * 16), DiagonalRep(4, (1,) * 16)))
+@settings(max_examples=80)
+def test_are_equivalent_matches_brute_force_orbit(pair):
+    a, b = pair
+    numeric, _, _ = orbit_readers(a.k)
+    assert are_equivalent(a, b) == (b.q in {read(a.q) for read in numeric})
+
+
+def test_are_equivalent_tells_k5_almost_conjugate_pair_apart():
+    # equal patterns, multisets and q_0, so only the search decides; a
+    # relabelling keeps the relations among the supported characters, and
+    # the doubled character 1 lies in the relation 1 ^ 2 ^ 3 = 0 in the
+    # support of a but in no relation in the support of b
+    a, b = (DiagonalRep(5, tuple(q.get(m, 0) for m in range(32))) for q in (
+        {1: 2, 2: 1, 3: 1, 4: 1, 8: 1, 14: 1}, {1: 2, 2: 1, 4: 1, 6: 1, 8: 1, 10: 1}))
+    assert pattern(a) == pattern(b) and sorted(a.q) == sorted(b.q)
+    assert not are_equivalent(a, b) and not are_equivalent(b, a)
+
+
+def test_canonical_form_is_display_representative():
+    for rep in (*TABLE1_PAIR, rep3(1, 3, 1, 1, 0, 1, 0), *K4_N7_PAIR,
+                DiagonalRep(5, tuple(int(m not in (0, 3)) for m in range(32)))):
+        assert canonical_form(rep) == display_representative(rep)
 
 
 @st.composite
@@ -244,12 +290,11 @@ def relabelled_k5(draw):
 @settings(max_examples=40)
 def test_k5_extremes_are_relabelling_invariant(pair):
     rep, other = pair
-    for extreme in (canonical_form, display_representative):
-        form = extreme(rep)
-        assert extreme(other) == form
-        assert extreme(form) == form
-        assert pattern(form) == pattern(rep)
-        assert sorted(form.q) == sorted(rep.q) and form.q[0] == rep.q[0]
+    form = display_representative(rep)
+    assert display_representative(other) == form
+    assert display_representative(form) == form
+    assert pattern(form) == pattern(rep)
+    assert sorted(form.q) == sorted(rep.q) and form.q[0] == rep.q[0]
     assert are_equivalent(rep, other)
 
 
@@ -278,7 +323,7 @@ def test_k5_canonicity_test_matches_display_search(pair):
 def display_image(k, q):
     """The relabelling display_representative reads q through: the display
     search's last leaf."""
-    *_, img = diagrep._least_image(k, [-v for v in q], *diagrep._reading(k, True))
+    *_, img = diagrep._greatest_image(k, q)
     return img
 
 
@@ -356,7 +401,7 @@ def test_k5_canonicity_depends_on_order_type_alone(case):
 def test_pair_filter_drops_identity():
     q = PAIR_FILTER_DROPS_IDENTITY.q
     assert all(q[1 << j] == max(q[1 << j:]) for j in range(5))
-    leaves = diagrep._least_image(5, [-v for v in q], *diagrep._reading(5, True))
+    leaves = diagrep._greatest_image(5, q)
     assert next(leaves) != list(range(32))
     assert not is_display_representative(5, q)
 
@@ -364,22 +409,22 @@ def test_pair_filter_drops_identity():
 def test_all_ones_k5_is_its_own_extreme():
     for q0 in (0, 1):
         rep = DiagonalRep(5, (q0,) + (1,) * 31)
-        assert canonical_form(rep) == rep
         assert display_representative(rep) == rep
 
 
 def test_orbit_skip_keeps_symmetric_k5_search_small():
-    # chi1 + .. + chi5 is fixed by the 120 permutations of the singletons:
-    # skipping the orbit-mates of explored columns, the search visits 347
-    # nodes in about 10 ms; without the skip, 16,447 nodes in 0.2-0.4 s
-    rep = DiagonalRep(5, tuple(int(m.bit_count() == 1) for m in range(32)))
+    # q = 1 at every mask but 0 and 3: the stabilizer of one nonzero mask is
+    # large, and the tied leaves give automorphisms that skip the orbit-mates
+    # of explored columns; the search takes about 3 ms, and 0.18 s without
+    # the skip (min of 3 runs, 2 cores)
+    rep = DiagonalRep(5, tuple(int(m not in (0, 3)) for m in range(32)))
     seconds = []
     for _ in range(3):
         start = time.perf_counter()
-        form = canonical_form(rep)
+        form = display_representative(rep)
         seconds.append(time.perf_counter() - start)
-    assert [m for m, v in enumerate(form.q) if v] == [23, 27, 29, 30, 31]
-    assert min(seconds) < 0.05
+    assert [m for m, v in enumerate(form.q) if not v] == [0, 31]
+    assert min(seconds) < 0.03
 
 
 @pytest.mark.parametrize("q, display", [
@@ -428,7 +473,7 @@ def test_display_automorphisms_fix_q_and_are_linear(rep):
 
 def test_relabelling_search_rank_cap():
     rep = DiagonalRep(6, (0,) + (1,) * 63)
-    for call in (canonical_form, display_representative, lambda r: are_equivalent(r, r),
-                 lambda r: is_display_representative(r.k, r.q)):
+    for call in (display_representative, lambda r: are_equivalent(r, r),
+                 lambda r: diagrep.display_automorphisms(r.k, r.q)):
         with pytest.raises(CapabilityError, match="k <= 5"):
             call(rep)
