@@ -4,7 +4,8 @@
 Runs flatiso.cli.run in process over a fixed set of commands: the example
 BGF files of build_fixtures.py, verify on the fixture pairs and on groups
 that are not torsion-free, analyze and flip at k = 3 and 4, compare-rings,
-build-main plus verify at k = 3..5, find-translations, the three reference
+build-main plus verify at k = 3..5, find-translations at k = 3..5 (at k = 5
+three inputs without a solution and seeded random ones), the three reference
 tables and enumerate as table, JSON and CSV.  Each file holds the stdout,
 the stderr and the exit status of one command; BGF files written by a
 command sit next to it.  All paths are relative to the output directory,
@@ -35,6 +36,9 @@ K4_REPS = ("2,1,1,1,0,0,0,1,1,0,0,0,0,0,0", "2,1,1,1,1,0,0,0,0,0,0,0,0,1,0",
            "1,1,1,1,1,1,1,1,1,1,1,1,1,1,1", "4,2,2,2,0,0,0,0,0,0,0,0,0,0,0")
 FLIP_PAIRS = (None, "1,3", "2,1", "12,3")
 SEED, RANDOM_REPS = 20240811, 6
+# k = 5, one coordinate at each mask: no -Id and no torsion-free translations
+K5_NO_SOLUTION = ((4, 19, 20, 23, 30), (8, 11, 20, 23, 28), (11, 12, 22, 26, 29))
+K5_RANDOM_REPS = 20
 
 
 def _random_reps(k, count):
@@ -108,6 +112,11 @@ def main() -> int:
                 _run(f"flip-k{k}-{i}-{label}", ["flip", "--k", str(k), "--rep", rep, *extra])
             _run(f"find-translations-k{k}-{i}",
                  ["find-translations", "--k", str(k), "--rep", rep, "--out", f"found-k{k}-{i}.bgf"])
+    k5 = [format_rep(DiagonalRep(5, tuple(int(m in masks) for m in range(32))))
+          for masks in K5_NO_SOLUTION]
+    for i, rep in enumerate([*k5, *_random_reps(5, K5_RANDOM_REPS)]):
+        _run(f"find-translations-k5-{i}",
+             ["find-translations", "--k", "5", "--rep", rep, "--out", f"found-k5-{i}.bgf"])
     _run("analyze-q0", ["analyze", "--k", "3", "--rep", "1,2,2,2,0,0,2,0", "--with-q0"])
 
     for a, b in (("2,2,2,0,0,2,0", "3,1,2,0,1,1,0"), ("3,1,1,1,0,1,0", "2,2,2,0,0,2,0"),

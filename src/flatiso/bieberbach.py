@@ -265,24 +265,21 @@ def construct_dim7_pair() -> tuple[BieberbachGroup, BieberbachGroup]:
 
 # -- translation search -------------------------------------------------------
 
-# _negations(k) holds 2^k masks of 2^k bits: 88 MiB at k = 11, 4x per rank
+# _negations(k) holds 2^k masks of 2^k bits, 128 KiB at k = 10; search time past 10 is unmeasured
 MAX_TRANSLATION_RANK = 10
 
 @lru_cache(maxsize=None)
-def _negations(k: int):
-    """Per character m, the bitmask of the elements I with chi_m(I) = -1; per
-    element I, the nonzero characters negating it, ascending.  A mask grows
-    one generator at a time: the elements containing generator i+1 are those
-    without it shifted by 2^i, and chi_m flips on them when m contains i+1."""
-    size = 1 << k
+def _negations(k: int) -> tuple[int, ...]:
+    """Per character m, the bitmask of the elements I with chi_m(I) = -1,
+    grown one generator at a time: the elements containing generator i+1 are
+    those without it shifted by 2^i, and chi_m flips on them when m has i+1."""
     negs = []
-    for m in range(size):
+    for m in range(1 << k):
         out = 0
         for i in range(k):
             out |= (out ^ ((1 << (1 << i)) - 1) if m >> i & 1 else out) << (1 << i)
         negs.append(out)
-    return tuple(negs), tuple(tuple(m for m in range(1, size) if negs[m] >> e & 1)
-                              for e in range(size))
+    return tuple(negs)
 
 
 def find_translations(rep: DiagonalRep):
@@ -292,13 +289,15 @@ def find_translations(rep: DiagonalRep):
     torsion-free group.  Ranks above MAX_TRANSLATION_RANK raise
     CapabilityError before any table is built.
 
-    A coordinate in block J with tag m kills fixes[J] & negs[m].  The search
-    carries the mask of killed elements and branches on the lowest unkilled
-    nonzero element over the fresh coordinates that kill it, in (block order,
-    ascending tag) order, respecting block capacities.  That is the
-    depth-first order of the element-by-element search that skips killed
-    elements, so the first solution is the same.  The tags placed in each
-    block open it, and blocks are laid out in display order.
+    A coordinate in block J with tag m kills fixes[J] & negs[m], and so does
+    tag m ^ J, as chi_J = 1 on fixes[J].  The search carries the mask of killed
+    elements and branches on the lowest unkilled nonzero element over the
+    fresh coordinates that kill it, in (block order, ascending tag) order,
+    respecting block capacities and skipping m ^ J after m for J != 0.  That
+    is the depth-first order of the element-by-element search that skips
+    killed elements, less subtrees that repeat a failed one (placed tags count
+    only by their number per block), so the first solution is the same.  The
+    tags placed in each block open it, and blocks are laid out in display order.
 
     Two cuts drop only subtrees without a solution, so that order stays.
     Forward check (the column test of Knuth's Algorithm X, without its
@@ -316,7 +315,7 @@ def find_translations(rep: DiagonalRep):
     if all(v == 0 for m, v in enumerate(rep.q) if m):
         raise ValueError("trivial holonomy: no generators to solve for")
     blocks = [m for m in display_order(k) if rep.q[m] > 0]
-    negs, tags_killing = _negations(k)
+    negs = _negations(k)
     fixes = {m: negs[m] ^ ((1 << size) - 1) for m in blocks}
     most = size >> 1 if 0 in fixes else size >> 2
     nonzero = (1 << size) - 2
@@ -337,16 +336,16 @@ def find_translations(rep: DiagonalRep):
         for block in open_blocks:
             if not fixes[block] >> element & 1:
                 continue
-            for tag in tags_killing[element]:
-                placed[block].append(tag)
-                if solve(covered | fixes[block] & negs[tag]):
-                    return True
-                placed[block].pop()
+            for tag in range(1, size):  # the lesser of each class {tag, tag ^ block}
+                if negs[tag] >> element & 1 and tag <= tag ^ block:
+                    placed[block].append(tag)
+                    if solve(covered | fixes[block] & negs[tag]):
+                        return True
+                    placed[block].pop()
         return False
 
     if not solve(0):
         return None
-
     group = BieberbachGroup.from_tags(rep, placed)
     assert is_torsion_free(group).ok
     return group

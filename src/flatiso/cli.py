@@ -27,7 +27,7 @@ from . import bieberbach, cohomology, diagrep, search
 from .chargroup import display_order, indices_from_mask, mask_from_indices
 from .diagrep import DiagonalRep
 from .errors import CapabilityError
-from .flip import DEFAULT_SPEC, FlipSpec, apply_flip
+from .flip import DEFAULT_SPEC, NON_INTEGER_SHIFT, FlipSpec, apply_flip
 
 WORKERS_ENV = "FLATISO_WORKERS"
 
@@ -94,7 +94,7 @@ def _cmd_flip(args) -> str:
         spec = DEFAULT_SPEC
     outcome = apply_flip(rep, spec)
     if not outcome.applicable:
-        return f"inapplicable: u = {outcome.shift}" if outcome.reason == "non-integer u" \
+        return f"inapplicable: u = {outcome.shift}" if outcome.reason == NON_INTEGER_SHIFT \
             else f"inapplicable: {outcome.reason} (u = {outcome.shift})"
     return f"u = {outcome.shift}\nflipped: [{diagrep.format_rep(outcome.rep)}]"
 

@@ -174,13 +174,13 @@ def _blocked(k: int, autos) -> int:
     return blocked
 
 
-def _children(k: int, parents, memo: dict) -> list[tuple[tuple[int, ...], int]]:
-    """The classes one unit above parents, in parent order, as (display
-    representative, blocked) pairs like the parents; memo maps an order type
-    to its _blocked bitmask, or to None if it is rejected."""
+def _children(k: int, parents, blocks, memo: dict) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The classes one unit above parents, in parent order, as display
+    representatives and their blocked bitmasks, two lists like parents and
+    blocks; memo maps an order type to its _blocked bitmask, or to None."""
     scan = display_order(k)[:0:-1]
-    out = []
-    for x, blocked in parents:
+    ys, y_blocks = [], []
+    for x, blocked in zip(parents, blocks):
         found = []
         for c in scan:
             if not blocked >> c & 1 and _keeps_singletons(x, c):
@@ -194,19 +194,20 @@ def _children(k: int, parents, memo: dict) -> list[tuple[tuple[int, ...], int]]:
                 autos = diagrep.display_automorphisms(k, y)
                 memo[key] = None if autos is None else _blocked(k, autos)
             if memo[key] is not None:
-                out.append((y, memo[key]))
-    return out
+                ys.append(y)
+                y_blocks.append(memo[key])
+    return ys, y_blocks
 
 
-def _descend(k: int, depth: int, parents) -> list[list[tuple[int, ...]]]:
+def _descend(k: int, depth: int, parents, blocks) -> list[list[tuple[int, ...]]]:
     """The classes of the depth levels below parents, each level in parent
     order, under one memo.  Top-level function so that worker processes can
     receive it."""
     memo: dict = {}
     levels = []
     for _ in range(depth):
-        parents = _children(k, parents, memo)
-        levels.append([y for y, _ in parents])
+        parents, blocks = _children(k, parents, blocks, memo)
+        levels.append(parents)
     return levels
 
 
@@ -216,27 +217,27 @@ def class_levels(k: int, n_max: int, workers: int = 1):
     its display representative (a q tuple in numeric character order).
 
     Canonicity verdicts and blocked bitmasks are memoized by order type for
-    the whole call; levels carry (class, blocked) pairs inside.
+    the whole call; each level's blocked bitmasks sit in a list beside it.
     With workers > 1, levels are built here until one holds
     SUBTREES_PER_PROCESS classes per process (at most one process per CPU);
     that level is cut into SUBTREES_PER_PROCESS contiguous slices per
     process, and each process task builds every deeper level of one slice
     under a memo of its own."""
     memo: dict = {}
-    level = [((0,) * (1 << k), 0)]  # the zero vector, nothing blocked
+    level, blocks = [(0,) * (1 << k)], [0]  # the zero vector, nothing blocked
     processes = min(workers, os.cpu_count() or 1)
     tasks = SUBTREES_PER_PROCESS * processes
     n = 0
     while n < n_max and (workers == 1 or len(level) < tasks):
         n += 1
-        level = _children(k, level, memo)
-        yield n, [y for y, _ in level]
+        level, blocks = _children(k, level, blocks, memo)
+        yield n, level
     if n == n_max:
         return
     step = -(-len(level) // tasks)
-    slices = [level[i:i + step] for i in range(0, len(level), step)]
+    cuts = [(level[i:i + step], blocks[i:i + step]) for i in range(0, len(level), step)]
     with ProcessPoolExecutor(processes) as pool:
-        parts = list(pool.map(_descend, repeat(k), repeat(n_max - n), slices))
+        parts = list(pool.map(_descend, repeat(k), repeat(n_max - n), *zip(*cuts)))
     for n in range(n + 1, n_max + 1):
         yield n, [y for part in parts for y in part.pop(0)]
 

@@ -367,6 +367,20 @@ def test_find_translations_minus_identity_ends(rep):
     assert group is None and seconds < 1
 
 
+@pytest.mark.parametrize("masks", [(4, 19, 20, 23, 30), (8, 11, 20, 23, 28),
+                                   (11, 12, 22, 26, 29)], ids=lambda m: "-".join(map(str, m)))
+def test_find_translations_no_solution_ends(masks):
+    # no -Id, so neither cut fires at the root; trying both tags m and m ^ J of a
+    # block J took 0.19-0.48 s on these, one tag per class about 0.03 s
+    q = [0] * 32
+    for mask in masks:
+        q[mask] = 1
+    rep = DiagonalRep(5, tuple(q))
+    assert not contains_minus_identity(rep)
+    group, seconds = _timed_search(rep)
+    assert group is None and seconds < 0.15
+
+
 K4_SLOW_BGF = """BGF1
 k=4 n=13
 B1 + + + + + + + + - - + - +
