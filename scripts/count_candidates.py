@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count, per level, the work search.class_levels(K, N) does on one worker.
+"""Count, per level, the work search.class_levels(K, N) does.
 
 For each dimension n = 1..N it prints
 

@@ -19,11 +19,10 @@ def main() -> int:
     parser.add_argument("--k", type=int, default=3)
     parser.add_argument("--n", type=int, default=7)
     parser.add_argument("--n-max", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--skip-flips", action="store_true")
     args = parser.parse_args()
 
-    cfg = SearchConfig(k=args.k, n=args.n, n_max=args.n_max, workers=args.workers)
+    cfg = SearchConfig(k=args.k, n=args.n, n_max=args.n_max)
     families = enumerate_families(cfg)
     for n in cfg.dimensions:
         fams = [f for f in families if f.n == n]

@@ -20,7 +20,6 @@ single line and the exit status is nonzero; no partial output is emitted.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import bieberbach, cohomology, diagrep, search
@@ -29,8 +28,6 @@ from .diagrep import DiagonalRep
 from .errors import CapabilityError
 from .flip import DEFAULT_SPEC, NON_INTEGER_SHIFT, FlipSpec, apply_flip
 
-WORKERS_ENV = "FLATISO_WORKERS"
-
 
 def _parse_rep(args) -> DiagonalRep:
     return diagrep.parse_rep(args.rep, args.k, with_q0=getattr(args, "with_q0", False))
@@ -38,7 +35,7 @@ def _parse_rep(args) -> DiagonalRep:
 
 def _parse_element(token: str, k: int) -> int:
     token = token.strip()
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise ValueError(f"malformed group element {token!r}: expected digit string like 13")
     if k > 9:
         raise ValueError("digit-string elements are only unambiguous for k <= 9")
@@ -52,7 +49,6 @@ def _cmd_enumerate(args) -> str:
     cfg = search.SearchConfig(
         k=args.k, n=args.n, n_max=args.n_max,
         min_family_size=args.min_family_size,
-        workers=args.workers,
     )
     families = search.enumerate_families(cfg)
     if args.format == "json":
@@ -159,7 +155,7 @@ def _ring_verdict(pa, pb) -> str:
 
 
 def _cmd_tables(args) -> str:
-    text, _ = search.reproduce_table(args.id, workers=args.workers)
+    text, _ = search.reproduce_table(args.id)
     return text
 
 
@@ -196,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "flat manifolds and their invariant cohomology rings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    workers = os.environ.get(WORKERS_ENV, "1")  # a string default goes through type=int
 
     def add_rep_args(p):
         p.add_argument("--k", type=int, required=True)
@@ -211,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--min-family-size", type=int, default=2)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--workers", type=int, default=workers)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("analyze", help="invariants of one representation")
@@ -246,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="reproduce a reference table")
     p.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument("--workers", type=int, default=workers)
     p.set_defaults(fn=_cmd_tables)
 
     p = sub.add_parser("compare-rings", help="P/beta comparison of two representations")

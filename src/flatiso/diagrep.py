@@ -79,8 +79,6 @@ def parse_rep(text: str, k: int, with_q0: bool = False) -> DiagonalRep:
     except ValueError:
         raise ValueError(f"malformed multiplicity list: {text!r}") from None
     if with_q0:
-        if not values:
-            raise ValueError("empty multiplicity list")
         return DiagonalRep.from_display(k, values[1:], q0=values[0])
     return DiagonalRep.from_display(k, values)
 
@@ -178,17 +176,14 @@ def kahler_class(rep: DiagonalRep) -> str:
 # since either reads q larger.
 
 @lru_cache(maxsize=None)
-def _reading(k: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The masks a search key reads, in display order, and per level j the
-    offsets m of the masks 2^j | m that decide between the columns of level j.
-
-    Display order opens with the k singletons.  The columns kept are those
-    with the greatest value (a greedy basis, so every kept path carries the
-    same singleton values), and the key starts after the singletons with the
-    pairs {1, j+1}, known at level j.
+def _reading(k: int) -> tuple[int, ...]:
+    """The masks a search key reads, in display order: all but 0 and the
+    singletons.  Display order opens with the k singletons, and the columns
+    kept are those with the greatest value (a greedy basis, so every kept
+    path carries the same singleton values); the key starts after them with
+    the pairs {1, j+1}, known at level j.
     """
-    return (tuple(m for m in display_order(k) if m.bit_count() > 1),
-            ((0,),) + ((0, 1),) * (k - 1))
+    return tuple(m for m in display_order(k) if m.bit_count() > 1)
 
 
 def _orbit_labels(size: int, gens) -> list[int]:
@@ -212,28 +207,28 @@ def _orbit_labels(size: int, gens) -> list[int]:
 def _greatest_image(k: int, q):
     """Yield, in search order, every automorphism img (img[m] for every mask
     m) whose key [q[img[m]] for m in keys] is lexicographically greater than
-    the keys of all leaves before it, keys and offsets from _reading(k).  The
-    last one yielded reads the greatest key.  The generator returns the
-    automorphisms g of q it found (q[g[m]] = q[m] for every m), each as the
-    list of images g[m].
+    the keys of all leaves before it, keys from _reading(k).  The last one
+    yielded reads the greatest key.  The generator returns the automorphisms
+    g of q it found (q[g[m]] = q[m] for every m), each as the list of images
+    g[m].
 
     Level j picks the column c_j outside the span of c_0..c_{j-1}; the masks
     below 2^(j+1) are then known.  Of the columns, only those with the
-    greatest values at the masks 2^j | m, m in offsets[j], are kept.  A node
-    is cut when its known key values, the unknown positions filled with the
-    values left over in descending order, cannot reach the best key found; a
-    node that can still tie it is explored.  Two leaves with equal keys give
-    an automorphism of q fixing the columns they share: the later subtree at
-    the level they part is abandoned, and a column in one orbit with an
-    explored one, under the automorphisms found that fix the columns above
-    it, is skipped.
+    greatest values at the mask 2^j and then, from level 1 on, at 2^j | 1
+    are kept.  A node is cut when its known key values, the unknown
+    positions filled with the values left over in descending order, cannot
+    reach the best key found; a node that can still tie it is explored.  Two
+    leaves with equal keys give an automorphism of q fixing the columns they
+    share: the later subtree at the level they part is abandoned, and a
+    column in one orbit with an explored one, under the automorphisms found
+    that fix the columns above it, is skipped.
 
     Columns are tried in ascending order, and the identity's column 2^j is
     the least mask outside the span 0..2^j - 1, so the first leaf is the
     identity unless a column filter drops it.  A caller that only asks
     whether the identity is greatest stops at the second leaf yielded.
     """
-    keys, offsets = _reading(k)
+    keys = _reading(k)
     size = 1 << k
     best = None             # greatest key and its img
     autos: list[list[int]] = []
@@ -261,10 +256,10 @@ def _greatest_image(k: int, q):
                     return None
         inside = set(span)
         cands = [c for c in range(1, size) if c not in inside]
-        for m in offsets[j]:
+        for s in span[:2]:
             if len(cands) == 1:
                 break
-            s, kept, high = span[m], [], None
+            kept, high = [], None
             for c in cands:
                 v = q[c ^ s]
                 if high is None or v > high:

@@ -62,15 +62,6 @@ apply at the requested dimensions only, through the pattern that grouping
 computes anyway: a class of dimension n is kept iff its pattern (c_0, ..,
 c_n) has c_0 = 0 (no nonzero element fixes nothing) and c_n = 1 (only the
 identity fixes everything).
-
-With workers, the levels are built in this process until one is large
-enough to share out; that level is cut into contiguous slices, and each
-process task builds the whole subtree below one slice, every deeper level of
-it, under a memo of its own.  Each deeper level is the concatenation of the
-tasks' blocks in slice order.  That is the level the serial generator
-builds: children come out in parent order, so if the slices' parents are
-contiguous and in order at one level, their children are at the next.  So
-every level, and so the output, is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -78,10 +69,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from math import comb, prod
 
 from . import diagrep, flip as flip_mod
@@ -92,9 +80,6 @@ from .errors import CapabilityError
 
 CLASS_BUDGET = 100_000
 MAX_SEARCH_RANK = 4
-# with workers, subtrees handed out per process: more than one, so that the
-# processes that finish small subtrees early take further ones
-SUBTREES_PER_PROCESS = 4
 
 
 @dataclass(frozen=True)
@@ -103,7 +88,7 @@ class SearchConfig:
     n: int
     n_max: int | None = None
     min_family_size: int = 2
-    workers: int = 1
+    workers: int = 1  # has no effect: enumeration runs in one process
 
     def __post_init__(self):
         if self.k < 1:
@@ -199,47 +184,19 @@ def _children(k: int, parents, blocks, memo: dict) -> tuple[list[tuple[int, ...]
     return ys, y_blocks
 
 
-def _descend(k: int, depth: int, parents, blocks) -> list[list[tuple[int, ...]]]:
-    """The classes of the depth levels below parents, each level in parent
-    order, under one memo.  Top-level function so that worker processes can
-    receive it."""
-    memo: dict = {}
-    levels = []
-    for _ in range(depth):
-        parents, blocks = _children(k, parents, blocks, memo)
-        levels.append(parents)
-    return levels
-
-
-def class_levels(k: int, n_max: int, workers: int = 1):
+def class_levels(k: int, n_max: int):
     """Yield (n, classes) for n = 1..n_max: every relabeling class of
     multiplicity vectors with q_0 = 0 and dimension n, unfiltered, each as
     its display representative (a q tuple in numeric character order).
 
-    Canonicity verdicts and blocked bitmasks are memoized by order type for
-    the whole call; each level's blocked bitmasks sit in a list beside it.
-    With workers > 1, levels are built here until one holds
-    SUBTREES_PER_PROCESS classes per process (at most one process per CPU);
-    that level is cut into SUBTREES_PER_PROCESS contiguous slices per
-    process, and each process task builds every deeper level of one slice
-    under a memo of its own."""
+    Each level is yielded as soon as it is built.  Canonicity verdicts and
+    blocked bitmasks are memoized by order type for the whole call; each
+    level's blocked bitmasks sit in a list beside it."""
     memo: dict = {}
     level, blocks = [(0,) * (1 << k)], [0]  # the zero vector, nothing blocked
-    processes = min(workers, os.cpu_count() or 1)
-    tasks = SUBTREES_PER_PROCESS * processes
-    n = 0
-    while n < n_max and (workers == 1 or len(level) < tasks):
-        n += 1
+    for n in range(1, n_max + 1):
         level, blocks = _children(k, level, blocks, memo)
         yield n, level
-    if n == n_max:
-        return
-    step = -(-len(level) // tasks)
-    cuts = [(level[i:i + step], blocks[i:i + step]) for i in range(0, len(level), step)]
-    with ProcessPoolExecutor(processes) as pool:
-        parts = list(pool.map(_descend, repeat(k), repeat(n_max - n), *zip(*cuts)))
-    for n in range(n + 1, n_max + 1):
-        yield n, [y for part in parts for y in part.pop(0)]
 
 
 def _least_class_count(k: int, n: int) -> int:
@@ -284,7 +241,7 @@ def enumerate_families(cfg: SearchConfig) -> list[Family]:
         raise CapabilityError(f"enumeration at k={cfg.k} up to n={n_max} builds at least "
                               f"{least} classes in its top level (> budget {CLASS_BUDGET})")
     out = []
-    for n, classes in class_levels(cfg.k, n_max, cfg.workers):
+    for n, classes in class_levels(cfg.k, n_max):
         if n >= cfg.n:
             out.extend(_families(cfg, n, classes))
     return out
@@ -397,12 +354,12 @@ TABLE_SPECS = {
 }
 
 
-def reproduce_table(table_id: int, workers: int = 1) -> tuple[str, list[Family]]:
+def reproduce_table(table_id: int) -> tuple[str, list[Family]]:
     """Families of the three reference tables: (1) all k=3 families for
     n = 7..11; (2) k=3 families with at least three members, n = 12..15;
     (3) all k=4 families for n = 7..9.  Returns rendered text and the data."""
     if table_id not in TABLE_SPECS:
         raise ValueError("table id must be 1, 2 or 3")
-    cfg = SearchConfig(workers=workers, **TABLE_SPECS[table_id])
+    cfg = SearchConfig(**TABLE_SPECS[table_id])
     families = enumerate_families(cfg)
     return families_to_text(families), families

@@ -556,7 +556,7 @@ def is_display_representative(k: int, q: tuple[int, ...]) -> bool:
 
 def class_levels_reference(k: int, n_max: int) -> list[list[tuple[int, ...]]]:
     """The levels n = 1..n_max of search.class_levels, each candidate child
-    x + e_c tested on its own, with no memo and no worker split."""
+    x + e_c tested on its own, with no memo."""
     order = display_order(k)
     levels, level = [], [(0,) * (1 << k)]
     for _ in range(n_max):

@@ -194,15 +194,16 @@ def test_exit_zero_means_no_diagnostics():
     assert code == 0 and err == ""
 
 
-def test_workers_env_malformed(monkeypatch):
-    monkeypatch.setenv("FLATISO_WORKERS", "abc")
-    code, out, err = invoke("tables", "--id", "1")
-    assert code == 2 and not out
-    assert err == "error: argument --workers: invalid int value: 'abc'\n"
+def test_flip_pair_non_ascii_digit():
+    # "²" is a digit to str.isdigit but not to int()
+    code, out, err = invoke("flip", "--k", "3", "--rep", "2,2,2,0,0,2,0", "--pair", "²,1")
+    assert code == 1 and out == ""
+    assert err == "error: malformed group element '²': expected digit string like 13\n"
 
 
-def test_workers_env_not_positive(monkeypatch):
-    monkeypatch.setenv("FLATISO_WORKERS", "0")
-    code, out, err = invoke("enumerate", "--k", "3", "--n", "7")
-    assert code == 1 and not out
-    assert err == "error: workers must be >= 1\n"
+@pytest.mark.parametrize("argv", [("tables", "--id", "1"), ("enumerate", "--k", "3", "--n", "7")],
+                         ids=["tables", "enumerate"])
+def test_workers_option_is_gone(argv):
+    code, out, err = invoke(*argv, "--workers", "2")
+    assert code == 2 and out == ""
+    assert err == "error: unrecognized arguments: --workers 2\n"

@@ -162,60 +162,20 @@ def test_worker_counts_do_not_change_output():
         assert families_to_json(cfg1, f1) == families_to_json(cfgw, fw)
 
 
-def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
-    # a fake pool records its size and maps in this process, so no process is forked
-    sizes, slice_counts = [], []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            slice_counts.append(len(iterables[-1]))
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
-    expected = enumerate_families(SearchConfig(k=3, n=9))
-    for cpus, size in ((2, 2), (None, 1)):
-        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-        assert enumerate_families(SearchConfig(k=3, n=9, workers=5000)) == expected
-        assert sizes.pop() == size and not sizes
-    # the cut level goes out as SUBTREES_PER_PROCESS slices per process, not one per process
-    assert max(slice_counts) > 2
-
-
 @functools.lru_cache(maxsize=None)
 def reference_levels(k, n_max):
     return class_levels_reference(k, n_max)
 
 
-@pytest.mark.parametrize("k, n_max", [(3, 14), (4, 10)])
-@pytest.mark.parametrize("workers, cpus", [(1, 1), (2, 2), (4, 4), (16, 2)])
-def test_class_levels_match_memo_free_reference(monkeypatch, k, n_max, workers, cpus):
+@pytest.mark.parametrize("k, n_max", [(3, 14), (4, 10), (5, 9)])
+def test_class_levels_match_memo_free_reference(k, n_max):
     # every level, with verdicts memoized by order type, against one
-    # canonicity test per candidate; with workers, the subtrees are cut
-    # below n_max, so each process task builds several levels under its own memo
-    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    # canonicity test per candidate; k = 5 checks the parent-side singleton
+    # check's bit arithmetic on 5-bit masks
     want = reference_levels(k, n_max)
-    if workers > 1:
-        cut = next(n for n, level in enumerate(want, 1)
-                   if len(level) >= search.SUBTREES_PER_PROCESS * cpus)
-        assert cut < n_max - 1
-    got = list(search.class_levels(k, n_max, workers))
+    got = list(search.class_levels(k, n_max))
     assert [n for n, _ in got] == list(range(1, n_max + 1))
     assert [level for _, level in got] == want
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_k5_class_levels_match_memo_free_reference(monkeypatch, workers):
-    # the parent-side singleton check's bit arithmetic on 5-bit masks
-    test_class_levels_match_memo_free_reference(monkeypatch, 5, 9, workers, workers)
 
 
 def greedy_singletons(k, y):
