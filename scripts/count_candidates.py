@@ -60,9 +60,9 @@ def count(k, n_max):
         calls["built"] += 1
         return order_type(q)
 
-    def counted_test(rank, q):
+    def counted_test(rank, q, seeds=()):
         calls["tests"] += 1
-        return test(rank, q)
+        return test(rank, q, seeds)
 
     diagrep.order_type, diagrep.display_automorphisms = counted_order_type, counted_test
     order = display_order(k)

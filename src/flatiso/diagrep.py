@@ -79,6 +79,10 @@ def parse_rep(text: str, k: int, with_q0: bool = False) -> DiagonalRep:
     except ValueError:
         raise ValueError(f"malformed multiplicity list: {text!r}") from None
     if with_q0:
+        check_rank(k)
+        if len(values) != 1 << k:
+            raise ValueError(f"expected {1 << k} multiplicities (q_0 first) for k={k}, "
+                             f"got {len(values)}")
         return DiagonalRep.from_display(k, values[1:], q0=values[0])
     return DiagonalRep.from_display(k, values)
 
@@ -186,109 +190,126 @@ def _reading(k: int) -> tuple[int, ...]:
     return tuple(m for m in display_order(k) if m.bit_count() > 1)
 
 
-def _orbit_labels(size: int, gens) -> list[int]:
-    """A label per point, equal for points in one orbit of the group that
-    the permutations gens generate."""
-    root = list(range(size))
-    for g in gens:
-        for x in range(size):
-            a, b = x, g[x]
-            while root[a] != a:
-                a = root[a]
-            while root[b] != b:
-                b = root[b]
-            root[a] = b
-    for x in range(size):
-        while root[root[x]] != root[x]:
-            root[x] = root[root[x]]
-    return root
+@lru_cache(maxsize=None)
+def _levels(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per level j, what a node there knows of the key: the first key
+    position whose mask is not below 2^j, and the masks below 2^j that sit
+    at or after it."""
+    keys = _reading(k)
+    out = []
+    for j in range(k):
+        head = next((i for i, m in enumerate(keys) if m >> j), len(keys))
+        out.append((head, tuple(m for m in keys[head:] if not m >> j)))
+    return tuple(out)
 
 
-def _greatest_image(k: int, q):
+def _greatest_image(k: int, q, seeds=()):
     """Yield, in search order, every automorphism img (img[m] for every mask
     m) whose key [q[img[m]] for m in keys] is lexicographically greater than
     the keys of all leaves before it, keys from _reading(k).  The last one
     yielded reads the greatest key.  The generator returns the automorphisms
-    g of q it found (q[g[m]] = q[m] for every m), each as the list of images
+    g of q it knew (q[g[m]] = q[m] for every m): the seeds, which must be
+    automorphisms of q, then those it found, each as the sequence of images
     g[m].
 
     Level j picks the column c_j outside the span of c_0..c_{j-1}; the masks
     below 2^(j+1) are then known.  Of the columns, only those with the
-    greatest values at the mask 2^j and then, from level 1 on, at 2^j | 1
-    are kept.  A node is cut when its known key values, the unknown
-    positions filled with the values left over in descending order, cannot
-    reach the best key found; a node that can still tie it is explored.  Two
-    leaves with equal keys give an automorphism of q fixing the columns they
-    share: the later subtree at the level they part is abandoned, and a
-    column in one orbit with an explored one, under the automorphisms found
-    that fix the columns above it, is skipped.
+    greatest pair (q[c], q[c ^ c_0]) are kept (q[c] alone at level 0).  A
+    node is cut when its known key values, the unknown positions filled
+    with the values left over in descending order, cannot reach the best key
+    found; a node that can still tie it is explored.  Two leaves with equal
+    keys give an automorphism of q fixing the columns they share: the later
+    subtree at the level they part is abandoned, and a column in one orbit
+    with an explored one, under the automorphisms known that fix the
+    columns above it, is skipped.
+
+    A node keeps the list of those fixing automorphisms.  It takes its
+    parent's that fix its own last column, and appends every automorphism
+    found while it is open, since that one fixes the columns its two leaves
+    share, which include the node's, or else the search unwinds past it.
 
     Columns are tried in ascending order, and the identity's column 2^j is
     the least mask outside the span 0..2^j - 1, so the first leaf is the
     identity unless a column filter drops it.  A caller that only asks
     whether the identity is greatest stops at the second leaf yielded.
     """
-    keys = _reading(k)
+    keys, levels = _reading(k), _levels(k)
     size = 1 << k
     best = None             # greatest key and its img
-    autos: list[list[int]] = []
+    autos = list(seeds)
+    # the nonzero masks by descending q, ascending among equal values
+    ranked = sorted(range(1, size), key=q.__getitem__, reverse=True)
 
-    def node(j: int, span: list[int]):
+    def node(j: int, span: list[int], fixing: list):
         # yields improving leaves; returns a level to unwind to, or None
         nonlocal best
+        top = len(span)
+        known = [q[s] for s in span]    # the values q reads at the masks below top
         if best is not None:
-            top, most = len(span), best[0]
-            known = [q[span[m]] if m < top else None for m in keys]
-            i = 0   # the full mask is a key and still unknown, so this stops
-            while known[i] == most[i]:
-                i += 1
-            if known[i] is not None:
-                if known[i] < most[i]:
-                    return None
+            most = best[0]
+            head, later = levels[j]
+            for i in range(head):
+                v = known[keys[i]]
+                if v != most[i]:
+                    if v < most[i]:
+                        return None
+                    break
             else:
                 # past the equal head: known values kept, the others greatest first
-                tail = sorted(most[i:], reverse=True)
-                for v in known[i:]:
-                    if v is not None:
-                        tail.remove(v)
+                tail = sorted(most[head:], reverse=True)
+                for m in later:
+                    tail.remove(known[m])
                 fill = iter(tail)
-                if [next(fill) if v is None else v for v in known[i:]] < most[i:]:
-                    return None
+                for i in range(head, len(keys)):
+                    m = keys[i]
+                    v = known[m] if m < top else next(fill)
+                    if v != most[i]:
+                        if v < most[i]:
+                            return None
+                        break
+        # the columns outside the span with the greatest q[c], in ascending
+        # order, and from level 1 on of those the greatest q[c ^ c_0]
         inside = set(span)
-        cands = [c for c in range(1, size) if c not in inside]
-        for s in span[:2]:
-            if len(cands) == 1:
+        cands, high = [], None
+        for c in ranked:
+            if c in inside:
+                continue
+            if high is None:
+                high = q[c]
+            elif q[c] < high:
                 break
-            kept, high = [], None
+            cands.append(c)
+        if j and len(cands) > 1:
+            c0, kept, high = span[1], [], -1
             for c in cands:
-                v = q[c ^ s]
-                if high is None or v > high:
-                    kept, high = [c], v
-                elif v == high:
+                w = q[c ^ c0]
+                if w > high:
+                    kept, high = [c], w
+                elif w == high:
                     kept.append(c)
             cands = kept
-        explored: list[int] = []
-        used, labels = 0, None
+        explored, used = 0, len(autos)
         for c in cands:
-            if explored and len(autos) > used:
-                used, cols = len(autos), [span[1 << i] for i in range(j)]
-                fixing = [g for g in autos if all(g[x] == x for x in cols)]
-                labels = _orbit_labels(size, fixing) if fixing else None
+            if len(autos) > used:
+                fixing += autos[used:]
+                used = len(autos)
             # an orbit-mate of an explored column roots an equal subtree
-            if labels is not None and labels[c] in {labels[e] for e in explored}:
+            if explored and fixing and _reaches(c, explored, fixing):
                 continue
-            explored.append(c)
-            img = span + [c ^ s for s in span]
+            explored |= 1 << c
             if j + 1 < k:
-                back = yield from node(j + 1, img)
+                back = yield from node(j + 1, span + [c ^ s for s in span],
+                                       [g for g in fixing if g[c] == c])
                 if back is not None and back < j:
                     return back
                 continue
-            key = [q[img[m]] for m in keys]
+            key = list(map((known + [q[c ^ s] for s in span]).__getitem__, keys))
             if best is None or key > best[0]:
+                img = span + [c ^ s for s in span]
                 best = (key, img)
                 yield img
             elif key == best[0]:
+                img = span + [c ^ s for s in span]
                 g = [0] * size
                 for m, x in enumerate(best[1]):
                     g[x] = img[m]
@@ -300,8 +321,24 @@ def _greatest_image(k: int, q):
                     return d
         return None
 
-    yield from node(0, [0])
+    yield from node(0, [0], list(autos))
     return autos
+
+
+def _reaches(c: int, targets: int, gens) -> bool:
+    """Whether the orbit of c under the group gens generate holds a mask in
+    the bitmask targets; the walk stops at the first one."""
+    seen, stack = 1 << c, [c]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if not seen >> y & 1:
+                if targets >> y & 1:
+                    return True
+                seen |= 1 << y
+                stack.append(y)
+    return False
 
 
 def _check_search_rank(k: int) -> None:
@@ -339,8 +376,8 @@ def order_type(q) -> bytes:
     display_automorphisms depends on q through its order type alone.  The
     singleton check and every step of the display search compare entries
     with each other, never with a constant, so a strictly increasing
-    relabelling of the values leaves the verdict and the automorphisms found
-    as they are.  As bytes (ranks < 2^k <= 32) it is a third of a tuple's
+    relabelling of the values leaves the verdict and, for the same seeds,
+    the automorphisms found as they are.  As bytes (ranks < 2^k <= 32) it is a third of a tuple's
     size, and the memo of search.class_levels holds one per order type met:
     90,637 at k = 4, n <= 20.
     """
@@ -348,13 +385,16 @@ def order_type(q) -> bytes:
     return bytes(map(s.index, q))
 
 
-def display_automorphisms(k: int, q: tuple[int, ...]) -> list[list[int]] | None:
+def display_automorphisms(k: int, q: tuple[int, ...], seeds=()) -> list | None:
     """None unless the multiplicity vector q (length 2^k) is its own
-    display_representative; else the automorphisms of q the display search
-    met, each as the list of images g[m], with q[g[m]] = q[m] for every m.
-    They generate a subgroup of the stabilizer of q; that it is all of it is
-    checked at k <= 4, n <= 10, not proved.  Same limit as
-    display_representative.
+    display_representative; else the seeds followed by the automorphisms of q
+    the display search found, each as the sequence of images g[m], with
+    q[g[m]] = q[m] for every m.  The seeds must be automorphisms of q; the
+    search starts with them, so it skips the columns they map onto explored
+    ones, and the verdict does not depend on them.  The list generates a
+    subgroup of the stabilizer of q; that it is all of it is checked at
+    k <= 4, n <= 10, with and without the seeds search.class_levels passes,
+    not proved.  Same limit as display_representative.
 
     A necessary check runs first: the display representative's singletons
     are greedy, so q[2^j] is the largest value at the masks outside the span
@@ -365,7 +405,7 @@ def display_automorphisms(k: int, q: tuple[int, ...]) -> list[list[int]] | None:
     _check_search_rank(k)
     if any(q[1 << j] < max(q[1 << j:]) for j in range(k)):
         return None
-    leaves = _greatest_image(k, q)
+    leaves = _greatest_image(k, q, seeds)
     if next(leaves) != list(range(1 << k)):
         return None
     try:

@@ -29,7 +29,8 @@ every j, and that is decided from the parent before the child is built.  x has
 them, so x[1] >= x[2] >= x[4] >= ..., and y = x + e_c can fail only at
 singletons 2^j < c, where it needs x[c] < x[2^j], and x[2^j] is least at t,
 the largest singleton below c: so y passes iff c = 1 or x[c] < x[t].  That
-drops 2,030 of the 7,281 candidates of class_levels(3, 18).
+drops 2,030 of the 7,281 candidates of class_levels(3, 18) (these counts
+and those below from scripts/count_candidates.py 3 18).
 
 A candidate is also dropped from its parent's automorphisms (the orbit
 pruning of augmentations: McKay, "Isomorph-free exhaustive generation",
@@ -41,16 +42,30 @@ d sits at an earlier display position than c, that reading is larger: it
 agrees with x + e_c before d and holds one more unit at d.  So x + e_c is
 not its own display representative whenever the orbit of c under some
 such G holds a mask at an earlier display position.  The canonicity test
-returns the automorphisms its search met (diagrep.display_automorphisms);
+returns the automorphisms its search knew (diagrep.display_automorphisms);
 they need not generate the whole stabilizer of x, since any subgroup will
-do.  Each class carries the bitmask of the masks so blocked (_blocked), and
-that drops 863 more of the candidates above.
+do.  Each class carries the bitmask of the masks so blocked (_blocked)
+beside its automorphisms (_mark), and that drops 863 more of the candidates
+above.
 
-The rest go to the canonicity test, whose answer, and the automorphisms it
-returns, depend only on the child's order type, the dense ranks of its
-entries (diagrep.order_type): the 4,388 kept candidates have 419 order
-types, so one class_levels call keeps a memo from order type to blocked
-bitmask (None for a rejected one); there is none across calls.
+The same automorphisms seed the child's canonicity test.  If g fixes x and
+g[c] = c, then g fixes y = x + e_c: y[g[m]] = x[m] + [g[m] = c] = x[m] +
+[m = c] = y[m], since g is a bijection.  So the parent's automorphisms
+that fix c (_seeds) are automorphisms of y, and the display search of y
+starts with them: it skips the columns they map onto explored ones, finds
+fewer tied leaves, and returns the seeds with the automorphisms it found,
+which together generate a subgroup of the stabilizer of y, all the
+blocking needs.  The verdict does not depend on the seeds.
+
+The rest go to the canonicity test, whose verdict depends only on the
+child's order type, the dense ranks of its entries (diagrep.order_type):
+the 4,388 kept candidates have 419 order types, so one class_levels call
+keeps a memo from order type to mark (None for a rejected one); there is
+none across calls.  The memoized automorphisms fix every vector of the
+order type, whichever vector's test found them and whichever seeds it had:
+q[g[m]] = q[m] for every m iff the same holds for the ranks of q, since
+ranks are equal exactly where values are.  So a class whose mark was found
+for another vector blocks and seeds its own children soundly.
 
 Enumeration refuses up front, before any level is built, when its top
 level must hold more than CLASS_BUDGET classes: each orbit holds at most
@@ -150,22 +165,34 @@ def _blocked(k: int, autos) -> int:
     x the vector autos fix (proof in the module docstring)."""
     if not autos:
         return 0
-    labels = diagrep._orbit_labels(1 << k, autos)
-    seen, blocked = set(), 0
+    earlier, blocked = 0, 0
     for c in display_order(k):
-        if labels[c] in seen:
+        if diagrep._reaches(c, earlier, autos):
             blocked |= 1 << c
-        seen.add(labels[c])
+        earlier |= 1 << c
     return blocked
 
 
-def _children(k: int, parents, blocks, memo: dict) -> tuple[list[tuple[int, ...]], list[int]]:
+def _mark(k: int, autos) -> tuple[int, bytes]:
+    """A class's mark: the _blocked bitmask of its automorphisms autos, and
+    their images laid end to end in one bytes string."""
+    return _blocked(k, autos), b"".join(map(bytes, autos))
+
+
+def _seeds(autos: bytes, c: int, size: int) -> list[bytes]:
+    """The automorphisms in a mark's bytes string that fix the mask c, so
+    fix x + e_c too, x the class they fix (proof in the module docstring)."""
+    return [autos[i:i + size] for i in range(0, len(autos), size) if autos[i + c] == c]
+
+
+def _children(k: int, parents, marks, memo: dict) -> tuple[list[tuple[int, ...]], list]:
     """The classes one unit above parents, in parent order, as display
-    representatives and their blocked bitmasks, two lists like parents and
-    blocks; memo maps an order type to its _blocked bitmask, or to None."""
+    representatives and their marks (_mark), two lists like parents and
+    marks; memo maps an order type to its mark, or to None."""
+    size = 1 << k
     scan = display_order(k)[:0:-1]
-    ys, y_blocks = [], []
-    for x, blocked in zip(parents, blocks):
+    ys, y_marks = [], []
+    for x, (blocked, autos) in zip(parents, marks):
         found = []
         for c in scan:
             if not blocked >> c & 1 and _keeps_singletons(x, c):
@@ -176,12 +203,12 @@ def _children(k: int, parents, blocks, memo: dict) -> tuple[list[tuple[int, ...]
             y = x[:c] + (x[c] + 1,) + x[c + 1:]
             key = diagrep.order_type(y)
             if key not in memo:
-                autos = diagrep.display_automorphisms(k, y)
-                memo[key] = None if autos is None else _blocked(k, autos)
+                got = diagrep.display_automorphisms(k, y, _seeds(autos, c, size))
+                memo[key] = None if got is None else _mark(k, got)
             if memo[key] is not None:
                 ys.append(y)
-                y_blocks.append(memo[key])
-    return ys, y_blocks
+                y_marks.append(memo[key])
+    return ys, y_marks
 
 
 def class_levels(k: int, n_max: int):
@@ -189,13 +216,14 @@ def class_levels(k: int, n_max: int):
     multiplicity vectors with q_0 = 0 and dimension n, unfiltered, each as
     its display representative (a q tuple in numeric character order).
 
-    Each level is yielded as soon as it is built.  Canonicity verdicts and
-    blocked bitmasks are memoized by order type for the whole call; each
-    level's blocked bitmasks sit in a list beside it."""
+    Each level is yielded as soon as it is built.  Canonicity verdicts,
+    blocked bitmasks and automorphisms are memoized by order type for the
+    whole call; each level's marks sit in a list beside it."""
     memo: dict = {}
-    level, blocks = [(0,) * (1 << k)], [0]  # the zero vector, nothing blocked
+    # the zero vector: nothing blocked, and no automorphisms to seed with
+    level, marks = [(0,) * (1 << k)], [(0, b"")]
     for n in range(1, n_max + 1):
-        level, blocks = _children(k, level, blocks, memo)
+        level, marks = _children(k, level, marks, memo)
         yield n, level
 
 

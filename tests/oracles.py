@@ -31,6 +31,12 @@ The character pairing as a sign (evaluate), the JSON reader of enumeration
 output (families_from_json), BGF text as a string (bgf_text) and the
 canonicity verdict as a bool (is_display_representative) are here too: only
 the tests use them.
+
+So is the display search as it was before it took seeds, walked orbits and
+read its nodes more cheaply (greatest_image_reference, with the union-find
+_orbit_labels it rebuilds in each node): without seeds, the library's search
+must yield the same leaves in the same order and return the same
+automorphisms.
 """
 
 import io
@@ -46,7 +52,8 @@ import numpy as np
 from flatiso.bieberbach import BieberbachGroup, is_torsion_free, write_bgf
 from flatiso.chargroup import (MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank,
                                circuits_within, display_order, product)
-from flatiso.diagrep import DiagonalRep, coordinate_characters, display_automorphisms
+from flatiso.diagrep import (DiagonalRep, _reading, coordinate_characters,
+                             display_automorphisms)
 from flatiso.errors import CapabilityError
 from flatiso.search import Family, FamilyMember
 
@@ -454,6 +461,127 @@ def automorphism_table(k: int) -> np.ndarray:
         raise CapabilityError(f"automorphism_table is materialized only for "
                               f"at most {AUT_BLOCK} maps")
     return np.array(list(automorphisms(k)), dtype=np.uint8)
+
+
+# -- the display search before seeding and orbit walks ----------------------
+
+
+def _orbit_labels(size: int, gens) -> list[int]:
+    """A label per point, equal for points in one orbit of the group that
+    the permutations gens generate."""
+    root = list(range(size))
+    for g in gens:
+        for x in range(size):
+            a, b = x, g[x]
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            root[a] = b
+    for x in range(size):
+        while root[root[x]] != root[x]:
+            root[x] = root[root[x]]
+    return root
+
+
+def greatest_image_reference(k: int, q):
+    """Yield, in search order, every automorphism img (img[m] for every mask
+    m) whose key [q[img[m]] for m in keys] is lexicographically greater than
+    the keys of all leaves before it, keys from _reading(k).  The last one
+    yielded reads the greatest key.  The generator returns the automorphisms
+    g of q it found (q[g[m]] = q[m] for every m), each as the list of images
+    g[m].
+
+    Level j picks the column c_j outside the span of c_0..c_{j-1}; the masks
+    below 2^(j+1) are then known.  Of the columns, only those with the
+    greatest values at the mask 2^j and then, from level 1 on, at 2^j | 1
+    are kept.  A node is cut when its known key values, the unknown
+    positions filled with the values left over in descending order, cannot
+    reach the best key found; a node that can still tie it is explored.  Two
+    leaves with equal keys give an automorphism of q fixing the columns they
+    share: the later subtree at the level they part is abandoned, and a
+    column in one orbit with an explored one, under the automorphisms found
+    that fix the columns above it, is skipped.
+
+    Columns are tried in ascending order, and the identity's column 2^j is
+    the least mask outside the span 0..2^j - 1, so the first leaf is the
+    identity unless a column filter drops it.  A caller that only asks
+    whether the identity is greatest stops at the second leaf yielded.
+    """
+    keys = _reading(k)
+    size = 1 << k
+    best = None             # greatest key and its img
+    autos: list[list[int]] = []
+
+    def node(j: int, span: list[int]):
+        # yields improving leaves; returns a level to unwind to, or None
+        nonlocal best
+        if best is not None:
+            top, most = len(span), best[0]
+            known = [q[span[m]] if m < top else None for m in keys]
+            i = 0   # the full mask is a key and still unknown, so this stops
+            while known[i] == most[i]:
+                i += 1
+            if known[i] is not None:
+                if known[i] < most[i]:
+                    return None
+            else:
+                # past the equal head: known values kept, the others greatest first
+                tail = sorted(most[i:], reverse=True)
+                for v in known[i:]:
+                    if v is not None:
+                        tail.remove(v)
+                fill = iter(tail)
+                if [next(fill) if v is None else v for v in known[i:]] < most[i:]:
+                    return None
+        inside = set(span)
+        cands = [c for c in range(1, size) if c not in inside]
+        for s in span[:2]:
+            if len(cands) == 1:
+                break
+            kept, high = [], None
+            for c in cands:
+                v = q[c ^ s]
+                if high is None or v > high:
+                    kept, high = [c], v
+                elif v == high:
+                    kept.append(c)
+            cands = kept
+        explored: list[int] = []
+        used, labels = 0, None
+        for c in cands:
+            if explored and len(autos) > used:
+                used, cols = len(autos), [span[1 << i] for i in range(j)]
+                fixing = [g for g in autos if all(g[x] == x for x in cols)]
+                labels = _orbit_labels(size, fixing) if fixing else None
+            # an orbit-mate of an explored column roots an equal subtree
+            if labels is not None and labels[c] in {labels[e] for e in explored}:
+                continue
+            explored.append(c)
+            img = span + [c ^ s for s in span]
+            if j + 1 < k:
+                back = yield from node(j + 1, img)
+                if back is not None and back < j:
+                    return back
+                continue
+            key = [q[img[m]] for m in keys]
+            if best is None or key > best[0]:
+                best = (key, img)
+                yield img
+            elif key == best[0]:
+                g = [0] * size
+                for m, x in enumerate(best[1]):
+                    g[x] = img[m]
+                autos.append(g)
+                d = 0
+                while img[1 << d] == best[1][1 << d]:
+                    d += 1
+                if d < j:
+                    return d
+        return None
+
+    yield from node(0, [0])
+    return autos
 
 
 # -- translation search ------------------------------------------------------

@@ -194,6 +194,14 @@ def test_exit_zero_means_no_diagnostics():
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("rep, count", [("0,0,0,0,0,0,0", 7), ("1,0,0,0,0,0,0,0,0", 9)])
+def test_with_q0_count_error_counts_q0(tmp_path, rep, count):
+    code, out, err = invoke("find-translations", "--k", "3", "--rep", rep, "--with-q0",
+                            "--out", str(tmp_path / "x.bgf"))
+    assert code == 1 and out == ""
+    assert err == f"error: expected 8 multiplicities (q_0 first) for k=3, got {count}\n"
+
+
 def test_flip_pair_non_ascii_digit():
     # "²" is a digit to str.isdigit but not to int()
     code, out, err = invoke("flip", "--k", "3", "--rep", "2,2,2,0,0,2,0", "--pair", "²,1")

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import diagonal_reps, random_rep
 from oracles import (_mask_images, automorphism_table, automorphisms, evaluate,
-                     is_display_representative)
+                     greatest_image_reference, is_display_representative)
 from flatiso import chargroup, diagrep
 from flatiso.diagrep import (DiagonalRep, are_equivalent, canonical_form,
                              contains_minus_identity, display_representative,
@@ -396,6 +396,36 @@ def test_k5_canonicity_depends_on_order_type_alone(case):
         assert display_image(5, image) == display_image(5, q)
     images = [DiagonalRep(5, tuple(remap[v] for v in q)) for q in (rep.q, other.q, form)]
     assert {display_representative(r) for r in images} == {images[2]}
+
+
+def search_run(leaves):
+    """The leaves a display search yields and the automorphisms it returns,
+    all as lists."""
+    yielded = []
+    while True:
+        try:
+            yielded.append(list(next(leaves)))
+        except StopIteration as done:
+            return yielded, [list(g) for g in done.value]
+
+
+@given(diagonal_reps(max_k=5, max_n=12))
+@example(DiagonalRep(4, (1,) * 16))
+@example(DiagonalRep(4, (0,) + (1,) * 7 + (0,) * 8))
+@example(DiagonalRep(4, tuple(m.bit_count() for m in range(16))))
+@example(DiagonalRep(5, (0,) + (1,) * 31))
+@example(DiagonalRep(5, tuple(int(m not in (0, 3)) for m in range(32))))
+@example(DiagonalRep(5, tuple(int(1 <= m <= 15) for m in range(32))))
+@example(PAIR_FILTER_DROPS_IDENTITY)
+@settings(max_examples=60)
+def test_display_search_matches_reference(rep):
+    # without seeds, on q and on its display representative, the search
+    # yields the reference search's improving leaves in its order and
+    # returns the automorphisms it found, in the same order
+    k = rep.k
+    for q in (rep.q, display_representative(rep).q):
+        assert search_run(diagrep._greatest_image(k, q)) == \
+            search_run(greatest_image_reference(k, q))
 
 
 def test_pair_filter_drops_identity():

@@ -202,9 +202,9 @@ def test_canonicity_tests_only_see_greedy_singletons(monkeypatch, k, n_max, clas
     seen = []
     test = diagrep.display_automorphisms
 
-    def counted(rank, y):
+    def counted(rank, y, seeds=()):
         seen.append(y)
-        return test(rank, y)
+        return test(rank, y, seeds)
 
     monkeypatch.setattr(diagrep, "display_automorphisms", counted)
     assert sum(len(level) for _, level in search.class_levels(k, n_max)) == classes
@@ -236,6 +236,33 @@ def test_display_automorphisms_generate_the_stabilizer(k):
             fixing = table[(np.array(q)[table] == q).all(axis=1)]
             assert generated_group(diagrep.display_automorphisms(k, q), 1 << k) == \
                 set(map(tuple, fixing.tolist()))
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 10), (3, 10), (4, 10), (5, 8)])
+def test_seeded_canonicity_tests_match_unseeded(k, n_max):
+    # every candidate child y = x + e_c of every class x, seeded as
+    # class_levels seeds it, from the automorphisms x's own seeded test
+    # returned: the verdict is the unseeded one, and at k <= 4 the seeds and
+    # the automorphisms found still generate the whole stabilizer of y
+    table = automorphism_table(k) if k <= 4 else None
+    order, size = display_order(k), 1 << k
+    marks = {(0,) * size: search._mark(k, [])}
+    for level in reference_levels(k, n_max):
+        for y in level:
+            x, c = next((y[:c] + (y[c] - 1,) + y[c + 1:], c)
+                        for c in reversed(order) if y[c])
+            got = diagrep.display_automorphisms(k, y, search._seeds(marks[x][1], c, size))
+            assert got is not None
+            marks[y] = search._mark(k, got)
+            if table is not None:
+                fixing = table[(np.array(y)[table] == y).all(axis=1)]
+                assert generated_group(got, size) == set(map(tuple, fixing.tolist()))
+        for x in level:
+            last = max(i for i, m in enumerate(order) if x[m])
+            for c in order[last:]:
+                y = x[:c] + (x[c] + 1,) + x[c + 1:]
+                seeded = diagrep.display_automorphisms(k, y, search._seeds(marks[x][1], c, size))
+                assert (seeded is None) == (diagrep.display_automorphisms(k, y) is None)
 
 
 @pytest.mark.parametrize("k, n_max", [(3, 14), (4, 10), (5, 9)])
