@@ -8,19 +8,23 @@ For each dimension n = 1..N it prints
               display position (position 1 for the zero vector)
   fail_check  candidates without greedy singletons (some q[2^j] below
               max(q[2^j:])), which diagrep.display_automorphisms rejects first
-  blocked     candidates with greedy singletons dropped by the parent's
-              automorphisms, that is candidates - fail_check - built
-  built       candidates whose order type is computed (diagrep.order_type)
+  blocked     candidates with greedy singletons missing from the candidate
+              list of the parent's order type, which its automorphisms block
+  reused      listed candidates settled by a transition stored earlier in
+              the call: no order type computed
+  built       listed candidates whose order type is computed
+              (diagrep.order_type), one per transition computed
   tests       canonicity tests run (diagrep.display_automorphisms)
   classes     classes of dimension n
   wall_s      seconds the level took in a separate run without the counters
 
 candidates and fail_check are computed here from the parents, so they do
-not depend on the code measured; built and tests are counted by wrapping
-the two diagrep functions from outside the package.  Run it with the
-checkout's src/ on the path, once per checkout, to compare two versions
-(a checkout whose search calls is_display_representative instead needs its
-own copy of this script, or tests reads 0):
+not depend on the code measured.  blocked and reused read the candidate
+lists (cands) of the per-type records search._children receives, and built
+and tests are counted by wrapping the two diagrep functions, all from
+outside the package.  Run it with the checkout's src/ on the path, once
+per checkout, to compare two versions (a checkout without per-type
+candidate lists needs its own copy of this script):
 
     PYTHONPATH=src python3 scripts/count_candidates.py 3 18
 """
@@ -32,8 +36,8 @@ import time
 from flatiso import diagrep, search
 from flatiso.chargroup import display_order
 
-COLUMNS = ("n", "parents", "candidates", "fail_check", "blocked", "built", "tests", "classes",
-           "wall_s")
+COLUMNS = ("n", "parents", "candidates", "fail_check", "blocked", "reused", "built", "tests",
+           "classes", "wall_s")
 
 
 def _level_times(k, n_max):
@@ -54,7 +58,8 @@ def count(k, n_max):
     measured without the counters."""
     times = _level_times(k, n_max)
     calls = {"built": 0, "tests": 0}
-    order_type, test = diagrep.order_type, diagrep.display_automorphisms
+    order_type, test, children = diagrep.order_type, diagrep.display_automorphisms, search._children
+    parent_types = []
 
     def counted_order_type(q):
         calls["built"] += 1
@@ -64,25 +69,35 @@ def count(k, n_max):
         calls["tests"] += 1
         return test(rank, q, seeds)
 
+    def kept_children(rank, parents, types, memo):
+        parent_types.append(types)
+        return children(rank, parents, types, memo)
+
     diagrep.order_type, diagrep.display_automorphisms = counted_order_type, counted_test
+    search._children = kept_children
     order = display_order(k)
     rows, parents = [], [(0,) * (1 << k)]
     try:
-        for (n, level), wall in zip(search.class_levels(k, n_max), times):
-            candidates = fail = 0
-            for x in parents:
+        for (n, level), wall, types in zip(search.class_levels(k, n_max), times, parent_types):
+            candidates = fail = blocked = listed = 0
+            for x, t in zip(parents, types):
                 last = max((i for i, m in enumerate(order) if x[m]), default=1)
+                listed += len(t.cands)
                 for c in order[last:]:
                     candidates += 1
-                    fail += _fails_check(k, x[:c] + (x[c] + 1,) + x[c + 1:])
+                    if _fails_check(k, x[:c] + (x[c] + 1,) + x[c + 1:]):
+                        fail += 1
+                    elif c not in t.cands:
+                        blocked += 1
             rows.append(dict(n=n, parents=len(parents), candidates=candidates,
-                             fail_check=fail, blocked=candidates - fail - calls["built"],
+                             fail_check=fail, blocked=blocked, reused=listed - calls["built"],
                              built=calls["built"], tests=calls["tests"],
                              classes=len(level), wall_s=round(wall, 4)))
             calls.update(built=0, tests=0)
             parents = level
     finally:
         diagrep.order_type, diagrep.display_automorphisms = order_type, test
+        search._children = children
     return rows, round(sum(times), 4)
 
 

@@ -39,7 +39,12 @@ ENUMERATION_BUDGET = 10_000_000
 
 
 def betti_numbers(rep: DiagonalRep) -> tuple[int, ...]:
-    """(beta_0, .., beta_n): invariant-monomial counts per degree.
+    """(beta_0, .., beta_n): invariant-monomial counts per degree."""
+    return betti_from_pattern(pattern(rep), rep.k)
+
+
+def betti_from_pattern(patt, k: int) -> tuple[int, ...]:
+    """(beta_0, .., beta_n) of any representation of Z_2^k with pattern patt.
 
     Molien's formula over the pattern: an element fixing a of the n
     coordinates acts on the exterior algebra with graded trace
@@ -49,16 +54,16 @@ def betti_numbers(rep: DiagonalRep) -> tuple[int, ...]:
     that is (p+1) g_{p+1} = (2a - n) g_p - (n - p + 1) g_{p-1}, so each value
     of a that occurs costs O(n) exact integer steps.
     """
-    n = rep.n
+    n = len(patt) - 1
     total = [0] * (n + 1)
-    for a, c in enumerate(pattern(rep)):
+    for a, c in enumerate(patt):
         if not c:
             continue
         prev, g = 0, c
         for p in range(n + 1):
             total[p] += g
             prev, g = g, ((2 * a - n) * g - (n - p + 1) * prev) // (p + 1)
-    return tuple(v >> rep.k for v in total)
+    return tuple(v >> k for v in total)
 
 
 def primitive_counts(rep: DiagonalRep) -> tuple[int, ...]:

@@ -44,8 +44,7 @@ not its own display representative whenever the orbit of c under some
 such G holds a mask at an earlier display position.  The canonicity test
 returns the automorphisms its search knew (diagrep.display_automorphisms);
 they need not generate the whole stabilizer of x, since any subgroup will
-do.  Each class carries the bitmask of the masks so blocked (_blocked)
-beside its automorphisms (_mark), and that drops 863 more of the candidates
+do.  The masks so blocked (_blocked) drop 863 more of the candidates
 above.
 
 The same automorphisms seed the child's canonicity test.  If g fixes x and
@@ -59,13 +58,19 @@ blocking needs.  The verdict does not depend on the seeds.
 
 The rest go to the canonicity test, whose verdict depends only on the
 child's order type, the dense ranks of its entries (diagrep.order_type):
-the 4,388 kept candidates have 419 order types, so one class_levels call
-keeps a memo from order type to mark (None for a rejected one); there is
-none across calls.  The memoized automorphisms fix every vector of the
-order type, whichever vector's test found them and whichever seeds it had:
-q[g[m]] = q[m] for every m iff the same holds for the ranks of q, since
-ranks are equal exactly where values are.  So a class whose mark was found
-for another vector blocks and seeds its own children soundly.
+the 4,388 kept candidates have 419 order types.  One class_levels call keeps
+a record per accepted order type (_Type) and a memo from order type to
+record, None for a rejected one; there is none across calls.  The record's
+automorphisms fix every vector of the type, whichever vector's test found
+them with whichever seeds: q[g[m]] = q[m] for every m iff the same holds for
+the ranks of q.  So every class of the type blocks and seeds with them, and
+its candidate list is a function of its order type, since the singleton
+check and the stop at x[c] != 0 compare entries of x (x[c] != x[0], q_0 = 0).
+And y = x + e_c differs from x only at c: y[m] < y[c] iff x[m] <= x[c], and
+y[m] = y[c] iff x[m] = x[c] + 1, which holds exactly at the rank above
+x[c]'s if x holds x[c] + 1 (merge), else nowhere.  So x's order type, c and
+merge fix y's order type and verdict: each record keeps these transitions,
+and 593 of them settle the 4,388 candidates.
 
 Enumeration refuses up front, before any level is built, when its top
 level must hold more than CLASS_BUDGET classes: each orbit holds at most
@@ -73,10 +78,11 @@ level must hold more than CLASS_BUDGET classes: each orbit holds at most
 quotient is at most the number of classes built there.
 
 Faithfulness and freedom from -Id are not inherited by parents, so they
-apply at the requested dimensions only, through the pattern that grouping
-computes anyway: a class of dimension n is kept iff its pattern (c_0, ..,
-c_n) has c_0 = 0 (no nonzero element fixes nothing) and c_n = 1 (only the
-identity fixes everything).
+apply at the requested dimensions only, read off one Walsh transform w of q:
+element f fixes (n + w[f]) / 2 coordinates, so a class is kept iff w holds n
+once (only the identity fixes everything) and -n nowhere (no element fixes
+nothing).  Classes of one dimension share a pattern, the histogram of those
+fixed dimensions, iff their sorted transforms agree.
 """
 
 from __future__ import annotations
@@ -88,9 +94,9 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from . import diagrep, flip as flip_mod
-from .chargroup import display_order
+from .chargroup import display_order, walsh
 from .diagrep import DiagonalRep
-from .cohomology import betti_numbers, primitive_counts
+from .cohomology import betti_from_pattern, primitive_counts
 from .errors import CapabilityError
 
 CLASS_BUDGET = 100_000
@@ -173,42 +179,54 @@ def _blocked(k: int, autos) -> int:
     return blocked
 
 
-def _mark(k: int, autos) -> tuple[int, bytes]:
-    """A class's mark: the _blocked bitmask of its automorphisms autos, and
-    their images laid end to end in one bytes string."""
-    return _blocked(k, autos), b"".join(map(bytes, autos))
-
-
 def _seeds(autos: bytes, c: int, size: int) -> list[bytes]:
-    """The automorphisms in a mark's bytes string that fix the mask c, so
-    fix x + e_c too, x the class they fix (proof in the module docstring)."""
+    """The automorphisms in a type's bytes string that fix the mask c, so
+    fix x + e_c too, x a class of the type (proof in the module docstring)."""
     return [autos[i:i + size] for i in range(0, len(autos), size) if autos[i + c] == c]
 
 
-def _children(k: int, parents, marks, memo: dict) -> tuple[list[tuple[int, ...]], list]:
+class _Type:
+    """An accepted order type: its automorphisms laid end to end in bytes; once
+    a class of it is a parent, its candidates c and transitions, slot 2i + merge
+    to the i-th child's _Type, None if rejected, False until computed."""
+    __slots__ = ("autos", "cands", "steps")
+
+    def __init__(self, autos):
+        self.autos, self.cands, self.steps = b"".join(map(bytes, autos)), None, None
+
+
+def _children(k: int, parents, types, memo: dict) -> tuple[list[tuple[int, ...]], list]:
     """The classes one unit above parents, in parent order, as display
-    representatives and their marks (_mark), two lists like parents and
-    marks; memo maps an order type to its mark, or to None."""
-    size = 1 << k
+    representatives and their _Types, two lists like parents and types;
+    memo maps an order type to its _Type, or to None."""
     scan = display_order(k)[:0:-1]
-    ys, y_marks = [], []
-    for x, (blocked, autos) in zip(parents, marks):
-        found = []
-        for c in scan:
-            if not blocked >> c & 1 and _keeps_singletons(x, c):
-                found.append(c)
-            if x[c]:
-                break
-        for c in reversed(found):
-            y = x[:c] + (x[c] + 1,) + x[c + 1:]
-            key = diagrep.order_type(y)
-            if key not in memo:
-                got = diagrep.display_automorphisms(k, y, _seeds(autos, c, size))
-                memo[key] = None if got is None else _mark(k, got)
-            if memo[key] is not None:
-                ys.append(y)
-                y_marks.append(memo[key])
-    return ys, y_marks
+    ys, y_types = [], []
+    for x, t in zip(parents, types):
+        if t.cands is None:
+            # x's candidates, a function of its order type; every automorphism fixes 0
+            blocked, found = _blocked(k, _seeds(t.autos, 0, len(x))), []
+            for c in scan:
+                if not blocked >> c & 1 and _keeps_singletons(x, c):
+                    found.append(c)
+                if x[c]:
+                    break
+            t.cands, t.steps = tuple(found[::-1]), [False] * (2 * len(found))
+        steps = t.steps
+        for i, c in enumerate(t.cands):
+            v = x[c] + 1
+            step = 2 * i + (v in x)     # v in x: the merge flag
+            child = steps[step]
+            if child is False:
+                y = x[:c] + (v,) + x[c + 1:]
+                key = diagrep.order_type(y)
+                if key not in memo:
+                    got = diagrep.display_automorphisms(k, y, _seeds(t.autos, c, len(x)))
+                    memo[key] = None if got is None else _Type(got)
+                child = steps[step] = memo[key]
+            if child is not None:
+                ys.append(x[:c] + (v,) + x[c + 1:])
+                y_types.append(child)
+    return ys, y_types
 
 
 def class_levels(k: int, n_max: int):
@@ -217,13 +235,13 @@ def class_levels(k: int, n_max: int):
     its display representative (a q tuple in numeric character order).
 
     Each level is yielded as soon as it is built.  Canonicity verdicts,
-    blocked bitmasks and automorphisms are memoized by order type for the
-    whole call; each level's marks sit in a list beside it."""
+    automorphisms, candidates and transitions are kept per order type for
+    the whole call (_Type); each level's types sit in a list beside it."""
     memo: dict = {}
-    # the zero vector: nothing blocked, and no automorphisms to seed with
-    level, marks = [(0,) * (1 << k)], [(0, b"")]
+    # the zero vector: no automorphisms to block or seed with
+    level, types = [(0,) * (1 << k)], [_Type([])]
     for n in range(1, n_max + 1):
-        level, marks = _children(k, level, marks, memo)
+        level, types = _children(k, level, types, memo)
         yield n, level
 
 
@@ -237,20 +255,22 @@ def _least_class_count(k: int, n: int) -> int:
 
 
 def _families(cfg: SearchConfig, n: int, classes) -> list[Family]:
-    # keep the faithful classes without -Id and group them by pattern
-    groups: dict[tuple[int, ...], list[DiagonalRep]] = {}
+    # keep the faithful classes without -Id and group them by pattern, both
+    # read off one Walsh transform (module docstring)
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for q in classes:
-        rep = DiagonalRep(cfg.k, q)
-        patt = diagrep.pattern(rep)
-        if patt[0] == 0 and patt[n] == 1:
-            groups.setdefault(patt, []).append(rep)
+        w = walsh(q)
+        if w.count(n) == 1 and -n not in w:
+            w.sort()
+            groups.setdefault(tuple(w), []).append(q)
 
     families = []
-    for patt, reps in groups.items():
-        if len(reps) < cfg.min_family_size:
+    for qs in groups.values():
+        if len(qs) < cfg.min_family_size:
             continue
-        # Molien: beta_p = 2^-k sum_f [t^p] (1+t)^{n_f} (1-t)^{n-n_f}, a function of the pattern
-        betti = betti_numbers(reps[0])
+        reps = [DiagonalRep(cfg.k, q) for q in qs]
+        patt = diagrep.pattern(reps[0])
+        betti = betti_from_pattern(patt, cfg.k)
         members = [FamilyMember(display_q=rep.to_display(), prim=primitive_counts(rep),
                                 betti=betti) for rep in reps]
         members.sort(key=lambda m: m.display_q, reverse=True)

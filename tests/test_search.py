@@ -8,9 +8,11 @@ from hypothesis import given, settings
 
 import goldens
 from conftest import diagonal_reps
-from oracles import automorphism_table, class_levels_reference, families_from_json
+from oracles import (automorphism_table, class_levels_reference, families_from_json,
+                     molien_betti)
 from flatiso import diagrep, search
 from flatiso.chargroup import display_order
+from flatiso.cohomology import betti_numbers
 from flatiso.diagrep import DiagonalRep, display_representative
 from flatiso.errors import CapabilityError
 from flatiso.search import (SearchConfig, enumerate_families,
@@ -246,14 +248,14 @@ def test_seeded_canonicity_tests_match_unseeded(k, n_max):
     # the automorphisms found still generate the whole stabilizer of y
     table = automorphism_table(k) if k <= 4 else None
     order, size = display_order(k), 1 << k
-    marks = {(0,) * size: search._mark(k, [])}
+    types = {(0,) * size: search._Type([])}
     for level in reference_levels(k, n_max):
         for y in level:
             x, c = next((y[:c] + (y[c] - 1,) + y[c + 1:], c)
                         for c in reversed(order) if y[c])
-            got = diagrep.display_automorphisms(k, y, search._seeds(marks[x][1], c, size))
+            got = diagrep.display_automorphisms(k, y, search._seeds(types[x].autos, c, size))
             assert got is not None
-            marks[y] = search._mark(k, got)
+            types[y] = search._Type(got)
             if table is not None:
                 fixing = table[(np.array(y)[table] == y).all(axis=1)]
                 assert generated_group(got, size) == set(map(tuple, fixing.tolist()))
@@ -261,7 +263,7 @@ def test_seeded_canonicity_tests_match_unseeded(k, n_max):
             last = max(i for i, m in enumerate(order) if x[m])
             for c in order[last:]:
                 y = x[:c] + (x[c] + 1,) + x[c + 1:]
-                seeded = diagrep.display_automorphisms(k, y, search._seeds(marks[x][1], c, size))
+                seeded = diagrep.display_automorphisms(k, y, search._seeds(types[x].autos, c, size))
                 assert (seeded is None) == (diagrep.display_automorphisms(k, y) is None)
 
 
@@ -279,6 +281,50 @@ def test_children_blocked_by_the_parent_are_rejected(k, n_max):
                     y = x[:c] + (x[c] + 1,) + x[c + 1:]
                     assert diagrep.display_automorphisms(k, y) is None
     assert dropped > 0
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 10), (3, 10), (4, 10), (5, 8)])
+def test_order_type_transitions_are_functions(k, n_max):
+    # every candidate x + e_c of every class x, the zero vector included:
+    # the child's order type is one value per (order type of x, c, merge),
+    # and x's candidate list, from the singleton check on each child and
+    # the blocking by x's automorphisms, one value per order type of x
+    order = display_order(k)
+    steps, lists, candidates = {}, {}, 0
+    for level in [[(0,) * (1 << k)]] + reference_levels(k, n_max)[:-1]:
+        for x in level:
+            key = diagrep.order_type(x)
+            blocked = search._blocked(k, diagrep.display_automorphisms(k, x))
+            last = max((i for i, m in enumerate(order) if x[m]), default=1)
+            cands = []
+            for c in order[last:]:
+                y = x[:c] + (x[c] + 1,) + x[c + 1:]
+                got = diagrep.order_type(y)
+                assert steps.setdefault((key, c, x[c] + 1 in x), got) == got
+                if greedy_singletons(k, y) and not blocked >> c & 1:
+                    cands.append(c)
+            assert lists.setdefault(key, cands) == cands
+            candidates += len(order) - last
+    assert len(steps) < candidates
+
+
+@pytest.mark.parametrize("k, dims", [(3, range(7, 15)), (4, range(7, 10))])
+def test_family_members_carry_their_own_pattern_and_betti(k, dims):
+    # min_family_size=1 keeps every class the Walsh filter passes: exactly
+    # the faithful classes without -Id, each with its own pattern and the
+    # Betti numbers of that pattern
+    levels = dict(search.class_levels(k, dims[-1]))
+    for n in dims:
+        fams = enumerate_families(SearchConfig(k=k, n=n, min_family_size=1))
+        reps = {m.display_q: (f, m) for f in fams for m in f.members}
+        kept = [DiagonalRep(k, q) for q in levels[n]]
+        kept = [rep for rep in kept
+                if diagrep.is_faithful(rep) and not diagrep.contains_minus_identity(rep)]
+        assert sorted(reps) == sorted(rep.to_display() for rep in kept)
+        for rep in kept:
+            fam, member = reps[rep.to_display()]
+            assert fam.pattern == diagrep.pattern(rep)
+            assert member.betti == betti_numbers(rep) == molien_betti(fam.pattern, k)
 
 
 def test_json_round_trip():
