@@ -7,7 +7,8 @@ For each dimension n = 1..N it prints
   candidates  vectors x + e_c, c at or after the parent's last nonzero
               display position (position 1 for the zero vector)
   fail_check  candidates without greedy singletons (some q[2^j] below
-              max(q[2^j:])), which diagrep.display_automorphisms rejects first
+              max(q[2^j:])), which search._keeps_singletons rejects before
+              the child is built
   blocked     candidates with greedy singletons missing from the candidate
               list of the parent's order type, which its automorphisms block
   reused      listed candidates settled by a transition stored earlier in

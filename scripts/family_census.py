@@ -2,7 +2,8 @@
 """Census of almost-conjugate families over a dimension range.
 
 Prints, per dimension: number of families, size distribution, and how many
-ordered member pairs are connected by a single flip.
+ordered member pairs are connected by a single flip.  The flip-coverage
+functions live here, not in the library: no CLI command needs them.
 
 Usage: python3 scripts/family_census.py --k 3 --n 7 --n-max 12
 """
@@ -11,7 +12,36 @@ import argparse
 import sys
 from collections import Counter
 
-from flatiso.search import SearchConfig, enumerate_families, flip_coverage_report
+from flatiso import diagrep, flip as flip_mod
+from flatiso.diagrep import DiagonalRep
+from flatiso.search import SearchConfig, enumerate_families
+
+
+def one_flip_reachable(a: DiagonalRep, b: DiagonalRep) -> bool:
+    """Whether some single flip of a lands in the equivalence class of b."""
+    size = 1 << a.k
+    for g1 in range(1, size):
+        for g2 in range(g1 + 1, size):
+            outcome = flip_mod.apply_flip(a, flip_mod.FlipSpec(g1, g2))
+            if outcome.applicable and diagrep.are_equivalent(outcome.rep, b):
+                return True
+    return False
+
+
+def flip_coverage_report(families) -> list[dict[tuple[int, int], bool]]:
+    """Per family: for each ordered member pair (i, j), whether one flip maps
+    member i into the class of member j.  Single flips are involutive, so the
+    relation is symmetric; both directions are reported anyway."""
+    out = []
+    for fam in families:
+        reps = [diagrep.DiagonalRep.from_display(fam.k, m.display_q) for m in fam.members]
+        flags = {}
+        for i, a in enumerate(reps):
+            for j, b in enumerate(reps):
+                if i != j:
+                    flags[(i, j)] = one_flip_reachable(a, b)
+        out.append(flags)
+    return out
 
 
 def main() -> int:

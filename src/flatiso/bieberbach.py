@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import flip as flip_mod
 from .chargroup import check_mask, check_rank, display_order, walsh
-from .diagrep import DiagonalRep, coordinate_characters, fixed_dims
+from .diagrep import DiagonalRep, fixed_dims
 from .errors import CapabilityError
 
 
@@ -101,16 +101,25 @@ class BieberbachGroup:
 
     @classmethod
     def from_tags(cls, rep: DiagonalRep, heads, order=None) -> "BieberbachGroup":
-        """The group on coordinate_characters(rep, order) in which block m
-        opens with the tags heads[m] and every other coordinate has tag 0."""
-        tags = []
-        for m in order if order is not None else display_order(rep.k):
+        """The group on rep's coordinates in blocks, one per mask of order
+        (distinct masks covering the support; display order by default), in
+        which block m opens with the tags heads[m], every other tag being 0."""
+        k = rep.k
+        if order is None:
+            order = display_order(k)
+        elif (len(set(order)) < len(order) or not all(0 <= m < 1 << k for m in order)
+              or not set(rep.support()) <= set(order)):
+            raise ValueError(f"block order {order} is not distinct {k}-bit masks "
+                             f"covering the support {rep.support()}")
+        chars, tags = [], []
+        for m in order:
             head = heads.get(m, [])
-            if len(head) > rep.q[m] or any(tag >> rep.k for tag in head):
+            if len(head) > rep.q[m] or any(tag >> k for tag in head):
                 raise ValueError(f"head tags {head} do not fit the block of character {m}")
+            chars += [m] * rep.q[m]
             tags += [*head, *[0] * (rep.q[m] - len(head))]
-        rows = tuple(tuple(tag >> i & 1 for tag in tags) for i in range(rep.k))
-        return cls(rep.k, coordinate_characters(rep, order), rows)
+        rows = tuple(tuple(tag >> i & 1 for tag in tags) for i in range(k))
+        return cls(k, tuple(chars), rows)
 
 
 class TorsionCheck(NamedTuple):
@@ -422,14 +431,12 @@ def read_bgf(stream) -> BieberbachGroup:
 
 # -- renderers ------------------------------------------------------------------
 
-def sunada_table_text(table: dict[tuple[int, int], int], n: int,
-                      include_identity: bool = False) -> str:
-    """Render c_{s,t} entries as 'c[s,t] = m', largest s first; the identity
-    row (s = n, t = 0) is suppressed by default to match printed listings."""
+def sunada_table_text(table: dict[tuple[int, int], int], n: int) -> str:
+    """Render c_{s,t} entries as 'c[s,t] = m', largest s first, without the
+    identity row (s = n, t = 0), to match printed listings."""
     items = []
     for (s, t), m in sorted(table.items(), key=lambda kv: (-kv[0][0], kv[0][1])):
-        if not include_identity and (s, t) == (n, 0):
-            continue
-        items.append(f"c[{s},{t}] = {m}")
+        if (s, t) != (n, 0):
+            items.append(f"c[{s},{t}] = {m}")
     return "\n".join(items)
 

@@ -25,7 +25,6 @@ from typing import Iterable, Iterator
 
 
 MAX_RANK = 16
-MAX_EXHAUSTIVE_AUT_RANK = 5
 
 
 def check_rank(k: int) -> None:

@@ -23,6 +23,8 @@ from . import chargroup
 from .chargroup import check_rank, display_order
 from .errors import CapabilityError
 
+MAX_DISPLAY_RANK = 5    # the largest k the display search accepts
+
 KAHLER_NONE = "none"
 KAHLER = "kahler"
 HYPERKAHLER = "hyperkahler"
@@ -94,26 +96,10 @@ def format_rep(rep: DiagonalRep, with_q0: bool = False) -> str:
     return ",".join(str(v) for v in vals)
 
 
-def coordinate_characters(rep: DiagonalRep, order=None) -> tuple[int, ...]:
-    """Character psi_j of each coordinate 1..n, laid out in blocks.
-
-    ``order`` is the block order as a sequence of masks covering the support;
-    defaults to display order.
-    """
-    if order is None:
-        order = display_order(rep.k)
-    else:
-        seen = set()
-        for m in order:
-            chargroup.check_mask(m, rep.k)
-            if m in seen:
-                raise ValueError("duplicate character in block order")
-            seen.add(m)
-        missing = [m for m in rep.support() if m not in seen]
-        if missing:
-            raise ValueError(f"block order misses supported characters {missing}")
+def coordinate_characters(rep: DiagonalRep) -> tuple[int, ...]:
+    """Character psi_j of each coordinate 1..n, laid out in blocks in display order."""
     out = []
-    for m in order:
+    for m in display_order(rep.k):
         out.extend([m] * rep.q[m])
     return tuple(out)
 
@@ -342,9 +328,9 @@ def _reaches(c: int, targets: int, gens) -> bool:
 
 
 def _check_search_rank(k: int) -> None:
-    if k > chargroup.MAX_EXHAUSTIVE_AUT_RANK:
+    if k > MAX_DISPLAY_RANK:
         raise CapabilityError(f"canonical forms and equivalence tests are limited to "
-                              f"k <= {chargroup.MAX_EXHAUSTIVE_AUT_RANK}")
+                              f"k <= {MAX_DISPLAY_RANK}")
 
 
 def display_representative(rep: DiagonalRep) -> DiagonalRep:
@@ -354,7 +340,7 @@ def display_representative(rep: DiagonalRep) -> DiagonalRep:
     This is the representative the reference tables print (largest
     multiplicities pushed onto the earliest display slots) and the class
     representative enumeration generates.  Found by a pruned search over
-    ordered bases, limited to k <= chargroup.MAX_EXHAUSTIVE_AUT_RANK.
+    ordered bases, limited to k <= MAX_DISPLAY_RANK.
     """
     _check_search_rank(rep.k)
     return DiagonalRep(rep.k, _display_image(rep.k, rep.q))
@@ -396,15 +382,12 @@ def display_automorphisms(k: int, q: tuple[int, ...], seeds=()) -> list | None:
     k <= 4, n <= 10, with and without the seeds search.class_levels passes,
     not proved.  Same limit as display_representative.
 
-    A necessary check runs first: the display representative's singletons
-    are greedy, so q[2^j] is the largest value at the masks outside the span
-    of the singletons before it, which are the masks >= 2^j.  Then the
-    display search runs until it decides: q is its own representative iff
-    the first leaf is the identity and no later leaf reads larger.
+    The display search runs until it decides: q is its own representative
+    iff the first leaf is the identity and no later leaf reads larger.  A q
+    without greedy singletons, q[2^j] < max(q[2^j:]) for some j, fails at
+    the first leaf: the value filter at level j drops column 2^j.
     """
     _check_search_rank(k)
-    if any(q[1 << j] < max(q[1 << j:]) for j in range(k)):
-        return None
     leaves = _greatest_image(k, q, seeds)
     if next(leaves) != list(range(1 << k)):
         return None

@@ -93,7 +93,7 @@ import json
 from dataclasses import dataclass
 from math import comb, prod
 
-from . import diagrep, flip as flip_mod
+from . import diagrep
 from .chargroup import display_order, walsh
 from .diagrep import DiagonalRep
 from .cohomology import betti_from_pattern, primitive_counts
@@ -292,36 +292,6 @@ def enumerate_families(cfg: SearchConfig) -> list[Family]:
     for n, classes in class_levels(cfg.k, n_max):
         if n >= cfg.n:
             out.extend(_families(cfg, n, classes))
-    return out
-
-
-# -- flip coverage --------------------------------------------------------------
-
-
-def one_flip_reachable(a: DiagonalRep, b: DiagonalRep) -> bool:
-    """Whether some single flip of a lands in the equivalence class of b."""
-    size = 1 << a.k
-    for g1 in range(1, size):
-        for g2 in range(g1 + 1, size):
-            outcome = flip_mod.apply_flip(a, flip_mod.FlipSpec(g1, g2))
-            if outcome.applicable and diagrep.are_equivalent(outcome.rep, b):
-                return True
-    return False
-
-
-def flip_coverage_report(families) -> list[dict[tuple[int, int], bool]]:
-    """Per family: for each ordered member pair (i, j), whether one flip maps
-    member i into the class of member j.  Single flips are involutive, so the
-    relation is symmetric; both directions are reported anyway."""
-    out = []
-    for fam in families:
-        reps = [diagrep.DiagonalRep.from_display(fam.k, m.display_q) for m in fam.members]
-        flags = {}
-        for i, a in enumerate(reps):
-            for j, b in enumerate(reps):
-                if i != j:
-                    flags[(i, j)] = one_flip_reachable(a, b)
-        out.append(flags)
     return out
 
 

@@ -1,7 +1,9 @@
 """Shared fixtures and hypothesis strategies."""
 
+import importlib.util
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -43,3 +45,14 @@ def random_rep(rng: random.Random, k: int, n: int, q0_zero=True, faithful=False)
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    """Import scripts/<name>.py as a module, without running its main()."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

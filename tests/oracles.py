@@ -50,12 +50,14 @@ from typing import Iterator
 import numpy as np
 
 from flatiso.bieberbach import BieberbachGroup, is_torsion_free, write_bgf
-from flatiso.chargroup import (MAX_EXHAUSTIVE_AUT_RANK, check_mask, check_rank,
-                               circuits_within, display_order, product)
+from flatiso.chargroup import check_mask, check_rank, circuits_within, display_order, product
 from flatiso.diagrep import (DiagonalRep, _reading, coordinate_characters,
                              display_automorphisms)
 from flatiso.errors import CapabilityError
 from flatiso.search import Family, FamilyMember
+
+# the largest rank whose GL(k, 2) automorphisms are iterated one by one
+MAX_EXHAUSTIVE_AUT_RANK = 5
 
 
 def evaluate(chi: int, f: int) -> int:

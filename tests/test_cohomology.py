@@ -324,7 +324,11 @@ def test_lefschetz_operator_ranks_match_formula():
 def test_coordinate_characters_orders():
     rep = rep3(2, 1, 1, 0, 0, 1, 0)
     assert coordinate_characters(rep) == (1, 1, 2, 4, 6)
+    from_tags = bieberbach.BieberbachGroup.from_tags
+    assert from_tags(rep, {}, order=(6, 4, 2, 1, 0)).coord_chars == (6, 4, 2, 1, 1)
     with pytest.raises(ValueError):
-        coordinate_characters(rep, order=(0, 1, 2))  # misses support
+        from_tags(rep, {}, order=(0, 1, 2))  # misses support
     with pytest.raises(ValueError):
-        coordinate_characters(rep, order=(0, 1, 1, 2, 4, 6))  # duplicate
+        from_tags(rep, {}, order=(0, 1, 1, 2, 4, 6))  # duplicate
+    with pytest.raises(ValueError):
+        from_tags(rep, {}, order=(0, 1, 2, 4, 6, 8))  # not a 3-bit mask

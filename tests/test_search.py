@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import goldens
-from conftest import diagonal_reps
+from conftest import diagonal_reps, load_script
 from oracles import (automorphism_table, class_levels_reference, families_from_json,
                      molien_betti)
 from flatiso import diagrep, search
@@ -17,8 +17,7 @@ from flatiso.diagrep import DiagonalRep, display_representative
 from flatiso.errors import CapabilityError
 from flatiso.search import (SearchConfig, enumerate_families,
                             families_to_csv, families_to_json,
-                            families_to_text, flip_coverage_report,
-                            one_flip_reachable, reproduce_table)
+                            families_to_text, reproduce_table)
 
 
 def families_as_rows(families, with_p5=False):
@@ -371,12 +370,14 @@ def test_reproduce_table_bad_id():
 
 
 def test_flip_coverage_table1_pairs_connected():
+    census = load_script("family_census")
     fams = enumerate_families(SearchConfig(k=3, n=7, n_max=9))
-    for flags in flip_coverage_report(fams):
+    for flags in census.flip_coverage_report(fams):
         assert all(flags.values())
 
 
 def test_flip_coverage_counterexamples():
+    one_flip_reachable = load_script("family_census").one_flip_reachable
     a = DiagonalRep.from_display(3, (5, 3, 1, 1, 1, 1, 0))
     b = DiagonalRep.from_display(3, (4, 3, 3, 2, 0, 0, 0))
     assert diagrep.pattern(a) == diagrep.pattern(b)
