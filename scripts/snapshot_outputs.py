@@ -79,9 +79,8 @@ def _not_torsion_free():
     """Two groups that fail torsion-freeness: the 8-dimensional Gamma with
     its third translation removed, and the same holonomy with none at all."""
     gamma, _ = bieberbach.construct_main_pair(3, 8)
-    rows = gamma.gen_translations
-    partial = BieberbachGroup(3, gamma.coord_chars, (*rows[:2], (0,) * gamma.n))
-    bare = BieberbachGroup(3, gamma.coord_chars, ((0,) * gamma.n,) * 3)
+    partial = BieberbachGroup(3, gamma.coord_chars, tuple(t & 0b011 for t in gamma.tags))
+    bare = BieberbachGroup(3, gamma.coord_chars, (0,) * gamma.n)
     for name, group in (("partial", partial), ("bare", bare)):
         bieberbach.write_bgf(group, f"fixtures/{name}.bgf")
 

@@ -5,10 +5,11 @@ Prints one JSON object with
 
   pinned   per slow input (named below): min and max of 3 runs, in seconds,
            and the representative's display vector
-  random   the count, the seed, the largest time and its vector over
-           COUNT random 0/1 vectors of length 32 (q_0 drawn too, all-zero
-           vectors redrawn), each timed once, and the sha256 of their
-           representatives' display vectors, one line each in draw order
+  random   the count, the seed, the total time, the largest time and its
+           vector over COUNT random 0/1 vectors of length 32 (q_0 drawn too,
+           all-zero vectors redrawn), each timed once, and the sha256 of
+           their representatives' display vectors, one line each in draw
+           order
 
 Which vector is slowest depends on timing noise; the digest does not, so
 two checkouts that agree on it return the same representatives.
@@ -53,15 +54,16 @@ def main(argv):
         pinned[name] = dict(min_s=round(min(seconds), 4), max_s=round(max(seconds), 4),
                             display=",".join(map(str, runs[0][1].to_display())))
     rng = random.Random(seed)
-    worst, digest = (0.0, None), hashlib.sha256()
+    worst, total, digest = (0.0, None), 0.0, hashlib.sha256()
     for _ in range(count):
         q = (0,) * 32
         while not any(q):
             q = tuple(rng.randrange(2) for _ in range(32))
         seconds, form = timed(q)
         worst = max(worst, (seconds, q))
+        total += seconds
         digest.update((",".join(map(str, form.to_display())) + "\n").encode())
-    random_part = dict(count=count, seed=seed, max_s=round(worst[0], 4),
+    random_part = dict(count=count, seed=seed, total_s=round(total, 4), max_s=round(worst[0], 4),
                        max_q="".join(map(str, worst[1])), sha256=digest.hexdigest())
     print(json.dumps(dict(pinned=pinned, random=random_part)))
 

@@ -2,9 +2,10 @@
 
 A group is generated by k elements B_i L_{b_i}: B_i acts diagonally by signs
 (coordinate j is negated exactly when the character of coordinate j contains
-i) and the translation parts b_i lie in {0, 1/2}^n, stored by numerators in
-{0, 1}.  Each coordinate carries a tag, the mask of the generators with a
-half entry there; a product element B_I has one where chi_tag(I) = -1.
+i) and the translation parts b_i lie in {0, 1/2}^n.  They are stored per
+coordinate as a tag, the mask of the generators with a half entry there; a
+product element B_I has one where chi_tag(I) = -1.  The rows of numerators
+that BGF files hold are a view of the tags.
 
 Per element I, s is the fixed dimension n_B and t the number of fixed
 coordinates whose tag negates I, the half-marked ones.  Both depend only on
@@ -41,8 +42,8 @@ class BieberbachGroup:
     """Diagonal-type crystallographic group data.
 
     coord_chars[j] is the character mask of coordinate j+1 (bit i-1 set
-    exactly when generator i negates the coordinate); gen_translations[i][j]
-    is the numerator (0 or 1) of the half coordinate (b_{i+1})_{j+1}.
+    exactly when generator i negates the coordinate); tags[j] is its tag
+    (bit i set exactly when (b_{i+1})_{j+1} = 1/2).
 
     The constructor validates shapes only; torsion-freeness is a separate
     check (is_torsion_free), since non-Bieberbach data is useful as
@@ -51,26 +52,26 @@ class BieberbachGroup:
 
     k: int
     coord_chars: tuple[int, ...]
-    gen_translations: tuple[tuple[int, ...], ...]
+    tags: tuple[int, ...]
 
     def __post_init__(self):
         check_rank(self.k)
-        n = len(self.coord_chars)
-        if n < 1:
+        if not self.coord_chars:
             raise ValueError("need at least one coordinate")
-        for c in self.coord_chars:
-            check_mask(c, self.k)
-        if len(self.gen_translations) != self.k:
-            raise ValueError(f"expected {self.k} translation vectors")
-        for b in self.gen_translations:
-            if len(b) != n:
-                raise ValueError("translation vector length differs from dimension")
-            if any(v not in (0, 1) for v in b):
-                raise ValueError("translation numerators must be 0 or 1")
+        if len(self.tags) != self.n:
+            raise ValueError(f"expected {self.n} tags, one per coordinate")
+        for mask in (*self.coord_chars, *self.tags):
+            check_mask(mask, self.k)
 
     @property
     def n(self) -> int:
         return len(self.coord_chars)
+
+    @cached_property
+    def gen_translations(self) -> tuple[tuple[int, ...], ...]:
+        """gen_translations[i][j] is the numerator (0 or 1) of the half
+        coordinate (b_{i+1})_{j+1}: the BGF rows, read off the tags."""
+        return tuple(tuple(tag >> i & 1 for tag in self.tags) for i in range(self.k))
 
     @cached_property
     def rep(self) -> DiagonalRep:
@@ -78,13 +79,6 @@ class BieberbachGroup:
         for c in self.coord_chars:
             q[c] += 1
         return DiagonalRep(self.k, tuple(q))
-
-    @cached_property
-    def tags(self) -> tuple[int, ...]:
-        """Per coordinate, the mask of the generators with a half entry there
-        (bit i set when b_{i+1} has 1/2)."""
-        return tuple(sum(b[j] << i for i, b in enumerate(self.gen_translations))
-                     for j in range(self.n))
 
     @cached_property
     def _fixed_halves(self) -> tuple[tuple[int, int], ...]:
@@ -118,8 +112,7 @@ class BieberbachGroup:
                 raise ValueError(f"head tags {head} do not fit the block of character {m}")
             chars += [m] * rep.q[m]
             tags += [*head, *[0] * (rep.q[m] - len(head))]
-        rows = tuple(tuple(tag >> i & 1 for tag in tags) for i in range(k))
-        return cls(k, tuple(chars), rows)
+        return cls(k, tuple(chars), tuple(tags))
 
 
 class TorsionCheck(NamedTuple):
@@ -172,8 +165,8 @@ def _main_block_order(k: int) -> tuple[int, ...]:
     first = [m for m in disp if m & 1 and not m & 2 and m != 1]
     second = [m for m in disp if m & 2 and not m & 1]
     head = [0, 1] + first + second + [4]
-    rest = [m for m in disp if m not in head]
-    return tuple(head + rest)
+    placed = set(head)
+    return tuple(head + [m for m in disp if m not in placed])
 
 
 def construct_main_pair(k: int, n: int) -> tuple[BieberbachGroup, BieberbachGroup]:
@@ -407,7 +400,7 @@ def read_bgf(stream) -> BieberbachGroup:
         if extra and not extra.startswith("#"):
             raise ValueError(f"unexpected BGF content: {extra!r}")
     chars = [0] * n
-    translations = []
+    tags = [0] * n
     for i in range(k):
         sign_line = body[2 * i].split()
         num_line = body[2 * i + 1].split()
@@ -415,18 +408,17 @@ def read_bgf(stream) -> BieberbachGroup:
             raise ValueError(f"malformed BGF generator line: {body[2 * i]!r}")
         if len(num_line) != n + 1 or num_line[0] != f"b{i + 1}":
             raise ValueError(f"malformed BGF translation line: {body[2 * i + 1]!r}")
-        row = []
         for j, tok in enumerate(sign_line[1:]):
             if tok == "-":
                 chars[j] |= 1 << i
             elif tok != "+":
                 raise ValueError(f"bad sign token {tok!r} in BGF generator line")
-        for tok in num_line[1:]:
-            if tok not in ("0", "1"):
+        for j, tok in enumerate(num_line[1:]):
+            if tok == "1":
+                tags[j] |= 1 << i
+            elif tok != "0":
                 raise ValueError(f"bad numerator token {tok!r} in BGF translation line")
-            row.append(int(tok))
-        translations.append(tuple(row))
-    return BieberbachGroup(k, tuple(chars), tuple(translations))
+    return BieberbachGroup(k, tuple(chars), tuple(tags))
 
 
 # -- renderers ------------------------------------------------------------------

@@ -89,19 +89,8 @@ def parse_rep(text: str, k: int, with_q0: bool = False) -> DiagonalRep:
     return DiagonalRep.from_display(k, values)
 
 
-def format_rep(rep: DiagonalRep, with_q0: bool = False) -> str:
-    vals = rep.to_display()
-    if with_q0:
-        vals = (rep.q[0],) + vals
-    return ",".join(str(v) for v in vals)
-
-
-def coordinate_characters(rep: DiagonalRep) -> tuple[int, ...]:
-    """Character psi_j of each coordinate 1..n, laid out in blocks in display order."""
-    out = []
-    for m in display_order(rep.k):
-        out.extend([m] * rep.q[m])
-    return tuple(out)
+def format_rep(rep: DiagonalRep) -> str:
+    return ",".join(str(v) for v in rep.to_display())
 
 
 def fixed_dims(rep: DiagonalRep) -> tuple[int, ...]:

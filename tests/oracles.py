@@ -27,7 +27,8 @@ own coord_chars, or a representation, laid out by coordinate_characters.
 The closed-form sl2 multiplicities from a Betti vector
 (lefschetz_multiplicities) sit next to that operator check.
 
-The character pairing as a sign (evaluate), the JSON reader of enumeration
+The character pairing as a sign (evaluate), the coordinate layout of a
+representation (coordinate_characters), the JSON reader of enumeration
 output (families_from_json), BGF text as a string (bgf_text) and the
 canonicity verdict as a bool (is_display_representative) are here too: only
 the tests use them.
@@ -51,8 +52,7 @@ import numpy as np
 
 from flatiso.bieberbach import BieberbachGroup, is_torsion_free, write_bgf
 from flatiso.chargroup import check_mask, check_rank, circuits_within, display_order, product
-from flatiso.diagrep import (DiagonalRep, _reading, coordinate_characters,
-                             display_automorphisms)
+from flatiso.diagrep import DiagonalRep, _reading, display_automorphisms
 from flatiso.errors import CapabilityError
 from flatiso.search import Family, FamilyMember
 
@@ -63,6 +63,14 @@ MAX_EXHAUSTIVE_AUT_RANK = 5
 def evaluate(chi: int, f: int) -> int:
     """Pairing chi(f) in {+1, -1}: parity of the intersection of the index sets."""
     return -1 if (chi & f).bit_count() & 1 else 1
+
+
+def coordinate_characters(rep: DiagonalRep) -> tuple[int, ...]:
+    """Character psi_j of each coordinate 1..n, laid out in blocks in display order."""
+    out = []
+    for m in display_order(rep.k):
+        out.extend([m] * rep.q[m])
+    return tuple(out)
 
 
 def brute_betti(rep):
@@ -646,32 +654,23 @@ def find_translations_reference(rep: DiagonalRep, wide_search: bool = False):
     if not solve(1):
         return None
 
-    rows = [[0] * rep.n for _ in range(k)]
-    chars = coordinate_characters(rep)
-    offset = {}
-    pos = 0
+    tags = []
     for m in display_order(k):
-        offset[m] = pos
-        pos += rep.q[m]
-    for block in blocks:
-        for slot, tag in enumerate(placed[block]):
-            j = offset[block] + slot
-            for i in range(k):
-                if tag >> i & 1:
-                    rows[i][j] = 1
-    group = BieberbachGroup(k, chars, tuple(tuple(r) for r in rows))
+        head = placed.get(m, [])
+        tags += [*head, *[0] * (rep.q[m] - len(head))]
+    group = BieberbachGroup(k, coordinate_characters(rep), tuple(tags))
     assert is_torsion_free(group).ok
     return group
 
 
 def torsion_free_translations_exist(rep: DiagonalRep) -> bool:
     """Whether any choice of translation numerators in {0, 1}^(k x n) makes a
-    torsion-free group, by trying all 2^(kn) of them."""
+    torsion-free group, by trying all 2^(kn) of them, n tags of k bits each."""
     k, n = rep.k, rep.n
     chars = coordinate_characters(rep)
     for bits in range(1 << (k * n)):
-        rows = tuple(tuple(bits >> (i * n + j) & 1 for j in range(n)) for i in range(k))
-        if is_torsion_free(BieberbachGroup(k, chars, rows)).ok:
+        tags = tuple(bits >> (j * k) & ((1 << k) - 1) for j in range(n))
+        if is_torsion_free(BieberbachGroup(k, chars, tags)).ok:
             return True
     return False
 

@@ -25,7 +25,7 @@ from flatiso.errors import CapabilityError
 
 
 def test_element_translations_are_mod1_sums():
-    g = BieberbachGroup(2, (1, 2), ((1, 0), (1, 1)))
+    g = BieberbachGroup(2, (1, 2), (0b11, 0b10))
     trans = derive_element_translations(g)
     assert trans[0] == (0, 0)
     assert trans[0b11] == (0, 1)
@@ -63,7 +63,7 @@ def test_half_fixed_count_examples():
 def test_is_torsion_free():
     ga, gb = construct_dim7_pair()
     assert is_torsion_free(ga).ok and is_torsion_free(gb).ok
-    flat = BieberbachGroup(2, (1, 2, 3), (((0,) * 3), ((0,) * 3)))
+    flat = BieberbachGroup(2, (1, 2, 3), (0, 0, 0))
     check = is_torsion_free(flat)
     assert not check.ok and check.witness in (1, 2, 3)
     for j in range(1, 9):
@@ -102,8 +102,8 @@ def groups(draw, max_k=4, max_n=10):
     n = draw(st.integers(1, max_n))
     chars = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n))
     halves = draw(st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, n - 1)), max_size=2 * k))
-    rows = tuple(tuple(int((i, j) in halves) for j in range(n)) for i in range(k))
-    return BieberbachGroup(k, tuple(chars), rows)
+    tags = tuple(sum(1 << i for i, h in halves if h == j) for j in range(n))
+    return BieberbachGroup(k, tuple(chars), tags)
 
 
 def _large_group(seed):
@@ -114,7 +114,7 @@ def _large_group(seed):
     k, n = 12, 30
     chars = tuple(rng.randrange(1 << k) for _ in range(n))
     tags = [rng.randrange(1 << k) for _ in range(n)]
-    return BieberbachGroup(k, chars, tuple(tuple(tag >> i & 1 for tag in tags) for i in range(k)))
+    return BieberbachGroup(k, chars, tuple(tags))
 
 
 def _heads(group):
@@ -428,11 +428,16 @@ def test_find_translations_block_of_three():
 
 
 def test_bgf_roundtrip():
-    for group in (*construct_main_pair(3, 8), construct_family24(2), *construct_dim7_pair()):
+    for group in (*construct_main_pair(3, 8), construct_family24(2), *construct_dim7_pair(),
+                  _large_group(0), _large_group(3)):
         text = bgf_text(group)
         back = read_bgf(io.StringIO(text))
         assert back == group
         assert sunada_table(back) == sunada_table(group)
+    # the BGF rows are a view of the tags
+    big = _large_group(0)
+    assert all(big.gen_translations[i][j] == big.tags[j] >> i & 1
+               for i in range(big.k) for j in range(big.n))
 
 
 def test_bgf_exact_format():
@@ -475,11 +480,11 @@ def test_sunada_table_text_suppresses_identity():
 
 def test_group_validation():
     with pytest.raises(ValueError):
-        BieberbachGroup(2, (1, 4), ((0, 0), (0, 0)))   # mask out of range
+        BieberbachGroup(2, (1, 4), (0, 0))             # character out of range
     with pytest.raises(ValueError):
-        BieberbachGroup(2, (1, 2), ((0, 0),))          # missing generator row
+        BieberbachGroup(2, (1, 2), (0,))               # one tag for two coordinates
     with pytest.raises(ValueError):
-        BieberbachGroup(2, (1, 2), ((0, 2), (0, 0)))   # bad numerator
+        BieberbachGroup(2, (1, 2), (0, 4))             # not a 2-bit tag
     rep = DiagonalRep(2, (0, 1, 1, 0))
     with pytest.raises(ValueError):
         BieberbachGroup.from_tags(rep, {1: [1, 2]})    # two head tags for one coordinate

@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 import goldens
 from conftest import random_rep
 from oracles import (automorphism_table, block_dp_betti, brute_betti, brute_block_matching,
-                     circuit_sum_primitive_counts, decomposition_check, invariant_basis,
-                     invariant_span, lefschetz_multiplicities,
+                     circuit_sum_primitive_counts, coordinate_characters, decomposition_check,
+                     invariant_basis, invariant_span, lefschetz_multiplicities,
                      lefschetz_operator_multiplicities, molien_betti, primitive_basis,
                      primitive_count_p4_k3, wedge_span)
 from flatiso import bieberbach
 from flatiso.cohomology import betti_numbers, minimal_generator_count, primitive_counts
-from flatiso.diagrep import (DiagonalRep, coordinate_characters, fixed_dims, is_orientable,
-                             kahler_class, pattern)
+from flatiso.diagrep import DiagonalRep, fixed_dims, is_orientable, kahler_class, pattern
 from flatiso.errors import CapabilityError
 
 

@@ -119,7 +119,7 @@ def test_parse_and_format():
     assert format_rep(r) == "3,1,1,1,0,1,0"
     with_q0 = parse_rep("2,3,1,1,1,0,1,0", 3, with_q0=True)
     assert with_q0.q[0] == 2 and with_q0.n == 9
-    assert format_rep(with_q0, with_q0=True) == "2,3,1,1,1,0,1,0"
+    assert format_rep(with_q0) == "3,1,1,1,0,1,0"
     with pytest.raises(ValueError):
         parse_rep("1,2", 3)
     with pytest.raises(ValueError):
