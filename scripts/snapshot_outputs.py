@@ -3,12 +3,14 @@
 
 Runs flatiso.cli.run in process over a fixed set of commands: the example
 BGF files of build_fixtures.py, verify on the fixture pairs and on groups
-that are not torsion-free, analyze and flip at k = 3 and 4, compare-rings,
-build-main plus verify at k = 3..5, find-translations at k = 3..5 (at k = 5
-three inputs without a solution and seeded random ones), the three reference
-tables and enumerate as table, JSON and CSV.  Each file holds the stdout,
-the stderr and the exit status of one command; BGF files written by a
-command sit next to it.  All paths are relative to the output directory,
+that are not torsion-free, analyze and flip at k = 3 and 4, analyze at
+k = 6 on the all-ones representation (refused by the degree >= 7 circuit
+budget), compare-rings, build-main plus verify at k = 3..6 (k = 6 walks the
+degree >= 7 circuits), build-24 for j = 1 and 8, find-translations at
+k = 3..5 (at k = 5 three inputs without a solution and seeded random ones),
+the three reference tables and enumerate as table, JSON and CSV.  Each file
+holds the stdout, the stderr and the exit status of one command; BGF files
+written by a command sit next to it.  All paths are relative to the output directory,
 so two snapshots of different checkouts compare with
 
     python3 scripts/snapshot_outputs.py OLD
@@ -117,12 +119,13 @@ def main() -> int:
         _run(f"find-translations-k5-{i}",
              ["find-translations", "--k", "5", "--rep", rep, "--out", f"found-k5-{i}.bgf"])
     _run("analyze-q0", ["analyze", "--k", "3", "--rep", "1,2,2,2,0,0,2,0", "--with-q0"])
+    _run("analyze-k6-ones", ["analyze", "--k", "6", "--rep", ",".join(["1"] * 63)])
 
     for a, b in (("2,2,2,0,0,2,0", "3,1,2,0,1,1,0"), ("3,1,1,1,0,1,0", "2,2,2,0,0,2,0"),
                  ("10,6,3,2,1,1,1", "8,6,6,4,0,0,0")):
         _run(f"compare-rings-{a}-{b}", ["compare-rings", "--k", "3", "--rep-a", a, "--rep-b", b])
 
-    for k in (3, 4, 5):
+    for k in (3, 4, 5, 6):
         low = 3 * (1 << (k - 2)) + 1
         for n in (low, low + 3):
             prefix = f"main-k{k}-n{n}"
@@ -130,6 +133,8 @@ def main() -> int:
             _run(f"verify-{prefix}", ["verify", "--a", f"{prefix}-gamma.bgf",
                                       "--b", f"{prefix}-gammaprime.bgf"])
     _run("build-main-too-small", ["build-main", "--k", "4", "--n", "12", "--out", "small"])
+    for j in (1, 8):
+        _run(f"build-24-j{j}", ["build-24", "--j", str(j), "--out", f"family24-j{j}.bgf"])
 
     for table in (1, 2, 3):
         _run(f"tables-{table}", ["tables", "--id", str(table)])

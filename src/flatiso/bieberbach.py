@@ -177,6 +177,7 @@ def construct_main_pair(k: int, n: int) -> tuple[BieberbachGroup, BieberbachGrou
     """
     if k < 3:
         raise ValueError("pair construction needs k >= 3")
+    check_rank(k)       # before any 2^k-entry vector is built
     q = n - 3 * (1 << (k - 2))
     if q < 1:
         raise ValueError(f"pair construction needs n >= {3 * (1 << (k - 2)) + 1} for k={k}")
@@ -399,15 +400,16 @@ def read_bgf(stream) -> BieberbachGroup:
     for extra in body[2 * k:]:
         if extra and not extra.startswith("#"):
             raise ValueError(f"unexpected BGF content: {extra!r}")
-    chars = [0] * n
-    tags = [0] * n
-    for i in range(k):
-        sign_line = body[2 * i].split()
-        num_line = body[2 * i + 1].split()
+    # every line's length and label before anything sized by the header's n
+    rows = [(body[2 * i].split(), body[2 * i + 1].split()) for i in range(k)]
+    for i, (sign_line, num_line) in enumerate(rows):
         if len(sign_line) != n + 1 or sign_line[0] != f"B{i + 1}":
             raise ValueError(f"malformed BGF generator line: {body[2 * i]!r}")
         if len(num_line) != n + 1 or num_line[0] != f"b{i + 1}":
             raise ValueError(f"malformed BGF translation line: {body[2 * i + 1]!r}")
+    chars = [0] * n
+    tags = [0] * n
+    for i, (sign_line, num_line) in enumerate(rows):
         for j, tok in enumerate(sign_line[1:]):
             if tok == "-":
                 chars[j] |= 1 << i

@@ -67,7 +67,7 @@ def _cmd_analyze(args) -> str:
         label = "".join(str(i) for i in indices_from_mask(mask)) or "0"
         dims.append(f"n_B{label}={fixed[mask]}")
     lines.append("fixed dims: " + " ".join(dims))
-    lines.append("pattern: " + ",".join(str(c) for c in diagrep.pattern(rep)))
+    lines.append("pattern: " + ",".join(str(c) for c in diagrep.pattern(rep.q)))
     lines.append("betti: " + ",".join(str(b) for b in cohomology.betti_numbers(rep)))
     prim = cohomology.primitive_counts(rep)
     lines.append("prim: " + ",".join(str(p) for p in prim))
@@ -155,8 +155,8 @@ def _ring_verdict(pa, pb) -> str:
 
 
 def _cmd_tables(args) -> str:
-    text, _ = search.reproduce_table(args.id)
-    return text
+    cfg = search.SearchConfig(**search.TABLE_SPECS[args.id])
+    return search.families_to_text(search.enumerate_families(cfg))
 
 
 def _cmd_compare_rings(args) -> str:

@@ -40,7 +40,7 @@ ENUMERATION_BUDGET = 10_000_000
 
 def betti_numbers(rep: DiagonalRep) -> tuple[int, ...]:
     """(beta_0, .., beta_n): invariant-monomial counts per degree."""
-    return betti_from_pattern(pattern(rep), rep.k)
+    return betti_from_pattern(pattern(rep.q), rep.k)
 
 
 def betti_from_pattern(patt, k: int) -> tuple[int, ...]:

@@ -101,22 +101,34 @@ def fixed_dims(rep: DiagonalRep) -> tuple[int, ...]:
     return tuple((n + w) >> 1 for w in chargroup.walsh(rep.q))
 
 
-def pattern(rep: DiagonalRep) -> tuple[int, ...]:
-    """Histogram (c_0, .., c_n) of fixed-space dimensions over all 2^k elements."""
-    counts = [0] * (rep.n + 1)
-    for d in fixed_dims(rep):
-        counts[d] += 1
+def pattern(q) -> tuple[int, ...]:
+    """Histogram (c_0, .., c_n) of fixed-space dimensions over all 2^k
+    elements, for a multiplicity vector q (length 2^k, n = sum q >= 1).
+
+    Element f fixes (n + w[f]) / 2 coordinates, w one Walsh-Hadamard
+    transform of q (fixed_dims).  Two representations are almost-conjugate
+    iff their patterns agree.  c_n = 1 iff the representation is faithful:
+    only the identity fixes everything.  c_0 > 0 iff some element acts as
+    -Id: the identity fixes n >= 1 coordinates, so an element fixing none
+    is nonzero.
+    """
+    n = sum(q)
+    counts = [0] * (n + 1)
+    for w in chargroup.walsh(q):
+        counts[(n + w) >> 1] += 1
     return tuple(counts)
 
 
 def is_faithful(rep: DiagonalRep) -> bool:
-    """True iff the supported characters span the full dual group."""
-    return chargroup.f2_rank(rep.support()) == rep.k
+    """True iff the supported characters span the full dual group: c_n = 1
+    in the pattern."""
+    return pattern(rep.q)[rep.n] == 1
 
 
 def contains_minus_identity(rep: DiagonalRep) -> bool:
-    """True iff some nonzero element acts as -Id, i.e. fixes nothing."""
-    return 0 in fixed_dims(rep)[1:]
+    """True iff some nonzero element acts as -Id, i.e. fixes nothing: c_0 > 0
+    in the pattern."""
+    return pattern(rep.q)[0] > 0
 
 
 def is_orientable(rep: DiagonalRep) -> bool:

@@ -78,11 +78,9 @@ level must hold more than CLASS_BUDGET classes: each orbit holds at most
 quotient is at most the number of classes built there.
 
 Faithfulness and freedom from -Id are not inherited by parents, so they
-apply at the requested dimensions only, read off one Walsh transform w of q:
-element f fixes (n + w[f]) / 2 coordinates, so a class is kept iff w holds n
-once (only the identity fixes everything) and -n nowhere (no element fixes
-nothing).  Classes of one dimension share a pattern, the histogram of those
-fixed dimensions, iff their sorted transforms agree.
+apply at the requested dimensions only, read off each class's
+diagrep.pattern patt: it is kept iff patt[n] == 1 and not patt[0], and the
+kept classes are grouped by patt.
 """
 
 from __future__ import annotations
@@ -94,7 +92,7 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from . import diagrep
-from .chargroup import display_order, walsh
+from .chargroup import display_order
 from .diagrep import DiagonalRep
 from .cohomology import betti_from_pattern, primitive_counts
 from .errors import CapabilityError
@@ -128,14 +126,6 @@ class SearchConfig:
     @property
     def dimensions(self) -> range:
         return range(self.n, (self.n_max if self.n_max is not None else self.n) + 1)
-
-    def filters_dict(self) -> dict:
-        return {
-            "require_faithful": True,
-            "forbid_minus_id": True,
-            "require_q0_zero": True,
-            "min_family_size": self.min_family_size,
-        }
 
 
 @dataclass(frozen=True)
@@ -255,21 +245,18 @@ def _least_class_count(k: int, n: int) -> int:
 
 
 def _families(cfg: SearchConfig, n: int, classes) -> list[Family]:
-    # keep the faithful classes without -Id and group them by pattern, both
-    # read off one Walsh transform (module docstring)
+    # keep the faithful classes without -Id and group them by pattern
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for q in classes:
-        w = walsh(q)
-        if w.count(n) == 1 and -n not in w:
-            w.sort()
-            groups.setdefault(tuple(w), []).append(q)
+        patt = diagrep.pattern(q)
+        if patt[n] == 1 and not patt[0]:
+            groups.setdefault(patt, []).append(q)
 
     families = []
-    for qs in groups.values():
+    for patt, qs in groups.items():
         if len(qs) < cfg.min_family_size:
             continue
         reps = [DiagonalRep(cfg.k, q) for q in qs]
-        patt = diagrep.pattern(reps[0])
         betti = betti_from_pattern(patt, cfg.k)
         members = [FamilyMember(display_q=rep.to_display(), prim=primitive_counts(rep),
                                 betti=betti) for rep in reps]
@@ -304,7 +291,8 @@ def families_to_json(cfg: SearchConfig, families) -> str:
         runs.append({
             "k": cfg.k,
             "n": n,
-            "filters": cfg.filters_dict(),
+            "filters": {"require_faithful": True, "forbid_minus_id": True,
+                        "require_q0_zero": True, "min_family_size": cfg.min_family_size},
             "families": [
                 {
                     "pattern": list(f.pattern),
@@ -362,22 +350,12 @@ def families_to_text(families) -> str:
     return "\n".join(lines)
 
 
-# -- reference table reproduction ---------------------------------------------
+# -- reference tables ----------------------------------------------------------
 
-
+# (1) all k=3 families for n = 7..11; (2) k=3 families with at least three
+# members, n = 12..15; (3) all k=4 families for n = 7..9
 TABLE_SPECS = {
     1: dict(k=3, n=7, n_max=11, min_family_size=2),
     2: dict(k=3, n=12, n_max=15, min_family_size=3),
     3: dict(k=4, n=7, n_max=9, min_family_size=2),
 }
-
-
-def reproduce_table(table_id: int) -> tuple[str, list[Family]]:
-    """Families of the three reference tables: (1) all k=3 families for
-    n = 7..11; (2) k=3 families with at least three members, n = 12..15;
-    (3) all k=4 families for n = 7..9.  Returns rendered text and the data."""
-    if table_id not in TABLE_SPECS:
-        raise ValueError("table id must be 1, 2 or 3")
-    cfg = SearchConfig(**TABLE_SPECS[table_id])
-    families = enumerate_families(cfg)
-    return families_to_text(families), families

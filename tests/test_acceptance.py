@@ -165,7 +165,7 @@ def test_criterion_7_family24():
     for g in groups:
         assert bieberbach.is_torsion_free(g).ok
 
-    patterns = {pattern(g.rep) for g in groups}
+    patterns = {pattern(g.rep.q) for g in groups}
     assert len(patterns) == 1
     nonzero = {s: c for s, c in enumerate(patterns.pop()) if c and s != 24}
     assert nonzero == {4: 1, 6: 1, 8: 1, 10: 1, 12: 1, 14: 1, 18: 1}
@@ -260,7 +260,7 @@ def test_criterion_9b_flip_fuzz():
         for g in range(size):
             if g not in (g1, g2):
                 assert after[g] == before[g]
-        assert pattern(out.rep) == pattern(rep)
+        assert pattern(out.rep.q) == pattern(rep.q)
     _passed("9b", f"flip swap identity and pattern preservation on 10^4 "
                   f"applicable cases ({tried} sampled)")
 
@@ -305,7 +305,7 @@ def test_criterion_9e_equivalence_invariants():
         img = perms[rng.randrange(len(perms))]
         other = DiagonalRep(k, tuple(rep.q[img[m]] for m in range(1 << k)))
         assert are_equivalent(rep, other)
-        assert pattern(rep) == pattern(other)
+        assert pattern(rep.q) == pattern(other.q)
         assert betti_numbers(rep) == betti_numbers(other)
         assert primitive_counts(rep) == primitive_counts(other)
     _passed("9e", "automorphism images preserve pattern/Betti/P on 500 reps")

@@ -2,6 +2,7 @@ import hashlib
 import io
 import random
 import time
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -85,7 +86,7 @@ def test_sunada_table_marginal_is_pattern():
         patt = [0] * (g.n + 1)
         for (s, _t), c in table.items():
             patt[s] += c
-        assert tuple(patt) == pattern(g.rep)
+        assert tuple(patt) == pattern(g.rep.q)
 
 
 def test_dim7_sunada_tables():
@@ -164,7 +165,7 @@ def test_family24_fixed_dims_and_pattern():
         row = tuple(dims[m] for m in (1, 2, 4, 3, 5, 6, 7))
         assert row == goldens.FAMILY24_FIXED_DIMS[j]
         assert sorted(row) == [4, 6, 8, 10, 12, 14, 18]
-        patterns.add(pattern(g.rep))
+        patterns.add(pattern(g.rep.q))
     assert len(patterns) == 1
     nonzero = {s: c for s, c in enumerate(patterns.pop()) if c}
     assert nonzero == {4: 1, 6: 1, 8: 1, 10: 1, 12: 1, 14: 1, 18: 1, 24: 1}
@@ -248,6 +249,23 @@ def test_main_pair_parameter_validation():
         construct_main_pair(3, 6)
     with pytest.raises(ValueError):
         construct_main_pair(2, 10)
+
+
+def peak_bytes(call):
+    """Peak traced allocation while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_main_pair_checks_rank_before_allocating():
+    def build():
+        with pytest.raises(ValueError, match=r"rank k=20 outside supported range 1\.\.16"):
+            construct_main_pair(20, 3 * 2 ** 18 + 1)
+    assert peak_bytes(build) < 1 << 20
 
 
 def test_main_pair_k4():
@@ -469,6 +487,14 @@ def test_bgf_rejects_malformed(mangle):
     gamma, _ = construct_main_pair(3, 8)
     with pytest.raises(ValueError):
         read_bgf(io.StringIO(mangle(bgf_text(gamma))))
+
+
+def test_bgf_checks_lines_before_allocating():
+    # the header claims a million coordinates, the lines hold one
+    def read():
+        with pytest.raises(ValueError, match="malformed BGF generator line"):
+            read_bgf(io.StringIO("BGF1\nk=1 n=1000000\nB1 -\nb1 1\n"))
+    assert peak_bytes(read) < 1 << 20
 
 
 def test_sunada_table_text_suppresses_identity():

@@ -49,7 +49,7 @@ def test_betti_is_molien_sum_over_pattern(rng):
     for _ in range(60):
         rep = random_rep(rng, rng.randrange(1, 6), rng.randrange(1, 17), q0_zero=False)
         betti = betti_numbers(rep)
-        assert betti == molien_betti(pattern(rep), rep.k)
+        assert betti == molien_betti(pattern(rep.q), rep.k)
         if rep.n <= 10:
             assert betti == brute_betti(rep)
 

@@ -81,9 +81,9 @@ def test_zero_shift_means_fixed_point():
 
 def test_verify_almost_conjugate():
     a, b = rep3(2, 2, 2, 0, 0, 2, 0), rep3(3, 1, 2, 0, 1, 1, 0)
-    assert pattern(a) == pattern(b)
+    assert pattern(a.q) == pattern(b.q)
     # different dimensions give patterns of different lengths
-    assert pattern(rep3(3, 1, 1, 1, 0, 1, 0)) != pattern(rep3(3, 2, 1, 1, 0, 1, 0))
+    assert pattern(rep3(3, 1, 1, 1, 0, 1, 0).q) != pattern(rep3(3, 2, 1, 1, 0, 1, 0).q)
 
 
 def all_specs(k):
@@ -109,7 +109,7 @@ def test_swap_identity_over_random_flips(rng):
             if g not in (spec.g1, spec.g2):
                 assert after[g] == before[g]
         assert out.rep.n == rep.n
-        assert pattern(out.rep) == pattern(rep)
+        assert pattern(out.rep.q) == pattern(rep.q)
 
 
 def test_double_flip_is_identity(rng):

@@ -13,8 +13,8 @@ SRC = SCRIPTS.parent / "src"
 
 # sha256 over the sorted relative paths and bytes of every file
 # snapshot_outputs.py writes; any change to a CLI, JSON, CSV or BGF byte moves it
-SNAPSHOT_FILES = 253
-SNAPSHOT_SHA256 = "7927673e069f750e810e0319ffbab1e8b06b56a5208adb49e31b409000fa7393"
+SNAPSHOT_FILES = 266
+SNAPSHOT_SHA256 = "6fc4626715800fdfce7f5142181aeef850c18c13ab56e15209a790fdd165d889"
 
 
 def run_script(name, *args, cwd=None):

@@ -1,4 +1,5 @@
 import functools
+import io
 import itertools
 from collections import Counter
 
@@ -15,9 +16,9 @@ from flatiso.chargroup import display_order
 from flatiso.cohomology import betti_numbers
 from flatiso.diagrep import DiagonalRep, display_representative
 from flatiso.errors import CapabilityError
-from flatiso.search import (SearchConfig, enumerate_families,
-                            families_to_csv, families_to_json,
-                            families_to_text, reproduce_table)
+from flatiso.cli import run
+from flatiso.search import (TABLE_SPECS, SearchConfig, enumerate_families,
+                            families_to_csv, families_to_json, families_to_text)
 
 
 def families_as_rows(families, with_p5=False):
@@ -74,9 +75,9 @@ def test_family_members_pairwise_almost_conjugate_inequivalent():
     for f in enumerate_families(SearchConfig(k=3, n=10)):
         reps = [DiagonalRep.from_display(3, m.display_q) for m in f.members]
         for a, b in itertools.combinations(reps, 2):
-            assert diagrep.pattern(a) == diagrep.pattern(b)
+            assert diagrep.pattern(a.q) == diagrep.pattern(b.q)
             assert not diagrep.are_equivalent(a, b)
-        assert all(tuple(f.pattern) == diagrep.pattern(r) for r in reps)
+        assert all(tuple(f.pattern) == diagrep.pattern(r.q) for r in reps)
 
 
 def test_patterns_differ_across_families():
@@ -322,7 +323,7 @@ def test_family_members_carry_their_own_pattern_and_betti(k, dims):
         assert sorted(reps) == sorted(rep.to_display() for rep in kept)
         for rep in kept:
             fam, member = reps[rep.to_display()]
-            assert fam.pattern == diagrep.pattern(rep)
+            assert fam.pattern == diagrep.pattern(rep.q)
             assert member.betti == betti_numbers(rep) == molien_betti(fam.pattern, k)
 
 
@@ -357,7 +358,8 @@ def test_text_output_contains_p_columns():
 
 
 def test_reproduce_table_1():
-    text, fams = reproduce_table(1)
+    fams = enumerate_families(SearchConfig(**TABLE_SPECS[1]))
+    text = families_to_text(fams)
     assert {f.n for f in fams} == set(range(7, 12))
     assert "n = 11" in text
     by_n = {n: [f for f in fams if f.n == n] for n in range(7, 12)}
@@ -365,8 +367,9 @@ def test_reproduce_table_1():
 
 
 def test_reproduce_table_bad_id():
-    with pytest.raises(ValueError):
-        reproduce_table(4)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["tables", "--id", "4"], stdout=out, stderr=err) == 2
+    assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 def test_flip_coverage_table1_pairs_connected():
@@ -380,7 +383,7 @@ def test_flip_coverage_counterexamples():
     one_flip_reachable = load_script("family_census").one_flip_reachable
     a = DiagonalRep.from_display(3, (5, 3, 1, 1, 1, 1, 0))
     b = DiagonalRep.from_display(3, (4, 3, 3, 2, 0, 0, 0))
-    assert diagrep.pattern(a) == diagrep.pattern(b)
+    assert diagrep.pattern(a.q) == diagrep.pattern(b.q)
     assert not one_flip_reachable(a, b)
     c = DiagonalRep.from_display(4, goldens.TABLE3[7][0][0][0])
     d = DiagonalRep.from_display(4, goldens.TABLE3[7][0][1][0])
