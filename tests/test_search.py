@@ -327,6 +327,84 @@ def test_family_members_carry_their_own_pattern_and_betti(k, dims):
             assert member.betti == betti_numbers(rep) == molien_betti(fam.pattern, k)
 
 
+def reference_families(k, n, min_family_size):
+    """(pattern, member display vectors) per family of dimension n, from the
+    memo-free reference's level n, filtered, grouped and sorted as
+    enumerate_families documents."""
+    groups = {}
+    for q in reference_levels(k, 10)[n - 1]:
+        patt = diagrep.pattern(q)
+        if patt[n] == 1 and not patt[0]:
+            groups.setdefault(patt, []).append(DiagonalRep(k, q).to_display())
+    fams = [(patt, sorted(qs, reverse=True)) for patt, qs in groups.items()
+            if len(qs) >= min_family_size]
+    return sorted(fams, key=lambda f: f[1][0], reverse=True)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_enumerate_families_match_memo_free_reference(k):
+    # every single dimension n <= 10 (k = 4: n <= 9), whose top level is
+    # grouped by pattern before its canonicity tests, against the families
+    # of the reference's classes, each tested on its own
+    for n in range(k, 10 if k == 4 else 11):
+        for size in (1, 2, 3):
+            fams = enumerate_families(SearchConfig(k=k, n=n, min_family_size=size))
+            assert [f.n for f in fams] == [n] * len(fams)
+            assert [(f.pattern, [m.display_q for m in f.members]) for f in fams] == \
+                reference_families(k, n, size)
+
+
+@pytest.mark.parametrize("k, n, n_max", [(4, 7, 9), (3, 7, 12)])
+def test_range_equals_single_dimensions(k, n, n_max):
+    # the lower dimensions of a range come from class_levels' own levels,
+    # the last from the grouped top level
+    fams = enumerate_families(SearchConfig(k=k, n=n, n_max=n_max))
+    assert fams == [f for d in range(n, n_max + 1) for f in enumerate_families(SearchConfig(k=k, n=d))]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_top_level_accepts_untested_only_canonical_candidates(monkeypatch, k):
+    # a candidate the top level accepts with no stored transition and no
+    # settling, unique by its sorted multiplicities in its pattern group, is
+    # its own display representative by the unseeded test
+    settle, settled, untested = search._settle, set(), 0
+    monkeypatch.setattr(search, "_settle", lambda rank, x, t, step, c, memo:
+                        settled.add((x, c)) or settle(rank, x, t, step, c, memo))
+    for n in range(k, 11):
+        memo: dict = {}
+        for _, level, types in search._levels(k, n - 1, memo):
+            pass
+        cands = list(search._candidates(k, level, types))
+        stored = [t.steps[step] for _, t, step, _ in cands]
+        groups = search._top_level(SearchConfig(k=k, n=n, min_family_size=1), n, level, types, memo)
+        accepted = {y for qs in groups.values() for y in qs}
+        for (x, _, _, c), step in zip(cands, stored):
+            y = x[:c] + (x[c] + 1,) + x[c + 1:]
+            if step is False and (x, c) not in settled and y in accepted:
+                untested += 1
+                assert diagrep.display_automorphisms(k, y) is not None
+    assert untested > 0 or k < 3
+
+
+@pytest.mark.parametrize("k, n, size, tests", [(4, 9, 2, 159), (3, 18, 2, 379), (4, 9, 3, 145)])
+def test_enumerate_families_tests_only_candidates_that_can_join_a_family(monkeypatch, k, n, size,
+                                                                         tests):
+    # the counts pin the canonicity tests one call runs: class_levels(k, n)
+    # runs 246 and 419 (test_canonicity_tests_only_see_greedy_singletons);
+    # at size 3 the pattern groups of two candidates go untested too
+    seen = []
+    test = diagrep.display_automorphisms
+
+    def counted(rank, y, seeds=()):
+        seen.append(y)
+        return test(rank, y, seeds)
+
+    monkeypatch.setattr(diagrep, "display_automorphisms", counted)
+    enumerate_families(SearchConfig(k=k, n=n, min_family_size=size))
+    assert len(seen) == tests
+    assert all(greedy_singletons(k, y) for y in seen)
+
+
 def test_json_round_trip():
     cfg = SearchConfig(k=3, n=9)
     fams = enumerate_families(cfg)
